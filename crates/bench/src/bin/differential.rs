@@ -83,12 +83,14 @@ use llp_mst::certify::{certify_msf, certify_msf_par};
 use llp_mst::prelude::{
     filter_kruskal_par, kruskal, kruskal_par_sort, sharded_msf_file, ShardedConfig, ShardedError,
 };
+use llp_runtime::cli::{self, no_leftovers, take_list, take_parsed, Error};
 use llp_runtime::{chaos, faults, ThreadPool};
 use llp_serve::loadgen::{run_sweep, LoadgenConfig};
 use llp_serve::protocol::{encode_queries, write_frame, Query};
 use llp_serve::server::{run_server, ServerConfig};
 use llp_serve::service::MsfService;
 use std::net::{TcpListener, TcpStream};
+use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -104,18 +106,22 @@ enum Family {
     Rgg,
 }
 
-impl Family {
-    fn parse(s: &str) -> Option<Family> {
+impl std::str::FromStr for Family {
+    type Err = ();
+
+    fn from_str(s: &str) -> Result<Family, ()> {
         match s {
-            "road" => Some(Family::Road),
-            "rmat" => Some(Family::Rmat),
-            "er" => Some(Family::Er),
-            "ba" => Some(Family::Ba),
-            "rgg" => Some(Family::Rgg),
-            _ => None,
+            "road" => Ok(Family::Road),
+            "rmat" => Ok(Family::Rmat),
+            "er" => Ok(Family::Er),
+            "ba" => Ok(Family::Ba),
+            "rgg" => Ok(Family::Rgg),
+            _ => Err(()),
         }
     }
+}
 
+impl Family {
     fn label(&self) -> &'static str {
         match self {
             Family::Road => "road",
@@ -169,98 +175,54 @@ struct Options {
 /// re-baselining on different hardware.
 const LLP_BASELINE_MS: f64 = 11181.8;
 
-fn parse_list(name: &str, v: &str) -> Vec<u64> {
-    v.split(',')
-        .map(|s| {
-            s.trim().parse().unwrap_or_else(|_| {
-                eprintln!("{name}: '{s}' is not an integer");
-                std::process::exit(2);
-            })
-        })
-        .collect()
-}
-
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let (command, rest) = match args.first().map(String::as_str) {
-        Some("sweep") => ("sweep", &args[1..]),
-        Some("perf") => ("perf", &args[1..]),
-        Some("fault-matrix") => ("fault-matrix", &args[1..]),
-        Some(s) if s.starts_with("--") => ("sweep", &args[..]),
-        None => ("sweep", &args[..]),
-        Some(other) => {
-            eprintln!(
-                "unknown command {other}; usage: differential [sweep|perf|fault-matrix] [options]"
+fn main() -> ExitCode {
+    let mut args: Vec<String> = std::env::args().skip(1).collect();
+    let command = match args.first().map(String::as_str) {
+        Some("sweep" | "perf" | "fault-matrix") => args.remove(0),
+        Some(s) if !s.starts_with("--") => {
+            let msg = format!(
+                "unknown command {s}; usage: differential [sweep|perf|fault-matrix] [options]"
             );
-            std::process::exit(2);
+            return cli::exit_code("differential", Err(Error::Usage(msg)));
         }
+        _ => "sweep".into(),
+    };
+    let opts = match parse_opts(&mut args) {
+        Ok(opts) => opts,
+        Err(e) => return cli::exit_code("differential", Err(e)),
     };
 
-    let mut opts = Options {
-        families: vec![Family::Road, Family::Rmat, Family::Er, Family::Ba],
-        gen_seeds: vec![1, 2],
-        chaos_seeds: vec![1, 2, 3, 4],
-        fault_seeds: (1..=16).collect(),
-        threads: 4,
-        size: 4000,
-        seed: 42,
-        llp_baseline_ms: LLP_BASELINE_MS,
-        watchdog_secs: 300,
-    };
-    let mut it = rest.iter();
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| {
-            it.next().cloned().unwrap_or_else(|| {
-                eprintln!("{name} needs a value");
-                std::process::exit(2);
-            })
-        };
-        match flag.as_str() {
-            "--families" => {
-                let v = value("--families");
-                opts.families = v
-                    .split(',')
-                    .map(|s| {
-                        Family::parse(s.trim()).unwrap_or_else(|| {
-                            eprintln!("unknown family '{s}'");
-                            std::process::exit(2);
-                        })
-                    })
-                    .collect();
-            }
-            "--gen-seeds" => opts.gen_seeds = parse_list("--gen-seeds", &value("--gen-seeds")),
-            "--chaos-seeds" => {
-                opts.chaos_seeds = parse_list("--chaos-seeds", &value("--chaos-seeds"))
-            }
-            "--fault-seeds" => {
-                opts.fault_seeds = parse_list("--fault-seeds", &value("--fault-seeds"))
-            }
-            "--watchdog-secs" => {
-                opts.watchdog_secs = value("--watchdog-secs").parse().expect("--watchdog-secs N")
-            }
-            "--threads" => opts.threads = value("--threads").parse().expect("--threads N"),
-            "--size" => opts.size = value("--size").parse().expect("--size N"),
-            "--seed" => opts.seed = value("--seed").parse().expect("--seed N"),
-            "--llp-baseline-ms" => {
-                opts.llp_baseline_ms = value("--llp-baseline-ms")
-                    .parse()
-                    .expect("--llp-baseline-ms X")
-            }
-            other => {
-                eprintln!("unknown option {other}");
-                std::process::exit(2);
-            }
-        }
-    }
-
-    let failed = match command {
+    let failed = match command.as_str() {
         "sweep" => sweep(&opts),
         "fault-matrix" => fault_matrix(&opts),
         _ => perf(&opts),
     };
     if failed {
-        std::process::exit(1);
+        ExitCode::FAILURE
+    } else {
+        ExitCode::SUCCESS
     }
+}
+
+fn parse_opts(args: &mut Vec<String>) -> Result<Options, Error> {
+    let opts = Options {
+        families: take_list(args, "--families")?.unwrap_or(vec![
+            Family::Road,
+            Family::Rmat,
+            Family::Er,
+            Family::Ba,
+        ]),
+        gen_seeds: take_list(args, "--gen-seeds")?.unwrap_or(vec![1, 2]),
+        chaos_seeds: take_list(args, "--chaos-seeds")?.unwrap_or(vec![1, 2, 3, 4]),
+        fault_seeds: take_list(args, "--fault-seeds")?.unwrap_or((1..=16).collect()),
+        threads: take_parsed(args, "--threads")?.unwrap_or(4),
+        size: take_parsed(args, "--size")?.unwrap_or(4000),
+        seed: take_parsed(args, "--seed")?.unwrap_or(42),
+        llp_baseline_ms: take_parsed(args, "--llp-baseline-ms")?.unwrap_or(LLP_BASELINE_MS),
+        watchdog_secs: take_parsed(args, "--watchdog-secs")?.unwrap_or(300),
+    };
+    no_leftovers(args)?;
+    Ok(opts)
 }
 
 /// One failing configuration, ordered for minimal-reproducer reporting.

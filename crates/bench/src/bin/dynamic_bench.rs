@@ -20,9 +20,11 @@
 use llp_graph::generators::{rmat, RmatParams};
 use llp_graph::Edge;
 use llp_mst::dynamic::DynamicMsf;
+use llp_runtime::cli::{self, no_leftovers, take_flag, take_opt, take_parsed, Error};
+use llp_runtime::json::Json;
 use llp_runtime::rng::SmallRng;
-use llp_runtime::ThreadPool;
-use std::io::Write;
+use llp_runtime::{available_threads, ThreadPool};
+use std::process::ExitCode;
 use std::time::Instant;
 
 struct Opts {
@@ -37,47 +39,26 @@ struct Opts {
     min_eps: f64,
 }
 
-fn parse_opts() -> Opts {
-    let mut opts = Opts {
-        scale: 14,
-        ef: 8,
-        seed: 1,
-        epochs: 24,
-        batch: 1024,
-        threads: std::thread::available_parallelism().map_or(1, |n| n.get()),
-        certify: true,
-        report: "BENCH_dynamic.json".into(),
-        min_eps: 0.0,
+fn parse_opts() -> Result<Opts, Error> {
+    let mut args: Vec<String> = std::env::args().skip(1).collect();
+    let opts = Opts {
+        scale: take_parsed(&mut args, "--scale")?.unwrap_or(14),
+        ef: take_parsed(&mut args, "--ef")?.unwrap_or(8),
+        seed: take_parsed(&mut args, "--seed")?.unwrap_or(1),
+        epochs: take_parsed(&mut args, "--epochs")?.unwrap_or(24),
+        batch: take_parsed(&mut args, "--batch")?.unwrap_or(1024),
+        threads: take_parsed(&mut args, "--threads")?.unwrap_or(available_threads()),
+        certify: !take_flag(&mut args, "--no-certify"),
+        report: take_opt(&mut args, "--report")?.unwrap_or_else(|| "BENCH_dynamic.json".into()),
+        min_eps: take_parsed(&mut args, "--min-eps")?.unwrap_or(0.0),
     };
-    let mut args = std::env::args().skip(1);
-    fn value<T: std::str::FromStr>(flag: &str, args: &mut impl Iterator<Item = String>) -> T {
-        args.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| {
-            eprintln!("{flag} needs a value");
-            std::process::exit(2);
-        })
-    }
-    while let Some(flag) = args.next() {
-        match flag.as_str() {
-            "--scale" => opts.scale = value("--scale", &mut args),
-            "--ef" => opts.ef = value("--ef", &mut args),
-            "--seed" => opts.seed = value("--seed", &mut args),
-            "--epochs" => opts.epochs = value("--epochs", &mut args),
-            "--batch" => opts.batch = value("--batch", &mut args),
-            "--threads" => opts.threads = value("--threads", &mut args),
-            "--no-certify" => opts.certify = false,
-            "--report" => opts.report = value("--report", &mut args),
-            "--min-eps" => opts.min_eps = value("--min-eps", &mut args),
-            other => {
-                eprintln!("unknown option {other}");
-                std::process::exit(2);
-            }
-        }
-    }
+    no_leftovers(&args)?;
     if opts.epochs == 0 || opts.batch < 2 {
-        eprintln!("--epochs must be >= 1 and --batch >= 2");
-        std::process::exit(2);
+        return Err(Error::Usage(
+            "--epochs must be >= 1 and --batch >= 2".into(),
+        ));
     }
-    opts
+    Ok(opts)
 }
 
 struct EpochRow {
@@ -99,8 +80,12 @@ fn percentile(sorted: &[f64], p: usize) -> f64 {
     sorted[(sorted.len() - 1) * p / 100]
 }
 
-fn main() {
-    let opts = parse_opts();
+fn main() -> ExitCode {
+    cli::exit_code("dynamic-bench", run())
+}
+
+fn run() -> Result<(), Error> {
+    let opts = parse_opts()?;
     if cfg!(debug_assertions) {
         eprintln!("warning: debug build; run with --release for meaningful numbers");
     }
@@ -117,10 +102,7 @@ fn main() {
     );
 
     let t = Instant::now();
-    let mut d = DynamicMsf::new(&graph, &pool).unwrap_or_else(|e| {
-        eprintln!("initial build failed: {e}");
-        std::process::exit(1);
-    });
+    let mut d = DynamicMsf::new(&graph, &pool).map_err(|e| format!("initial build failed: {e}"))?;
     d.set_certify_epochs(opts.certify);
     let m0 = d.num_edges();
     println!(
@@ -165,10 +147,9 @@ fn main() {
         }
 
         let t = Instant::now();
-        let report = d.apply_batch(&inserts, &deletes, &pool).unwrap_or_else(|e| {
-            eprintln!("epoch failed: {e}");
-            std::process::exit(1);
-        });
+        let report = d
+            .apply_batch(&inserts, &deletes, &pool)
+            .map_err(|e| format!("epoch failed: {e}"))?;
         let ms = t.elapsed().as_secs_f64() * 1e3;
         let updates = report.updates();
         rows.push(EpochRow {
@@ -217,79 +198,68 @@ fn main() {
         opts.certify
     );
 
-    write_report(&opts, n, m0, &rows, eps_p50, eps_p99, ms_p50, ms_p99, [
-        classify_ms,
-        rebuild_ms,
-        index_ms,
-        certify_ms,
-    ], tot_ins, tot_del)
-    .unwrap_or_else(|e| {
-        eprintln!("{}: {e}", opts.report);
-        std::process::exit(1);
-    });
+    let mut j = Json::new();
+    j.begin_object();
+    j.key("schema").str("llp-mst-dynamic-report/v1");
+    j.key("graph").begin_object();
+    j.key("n").u64(n as u64);
+    j.key("m0").u64(m0 as u64);
+    j.end_object();
+    j.key("config").begin_object();
+    j.key("scale").u64(opts.scale.into());
+    j.key("ef").u64(opts.ef as u64);
+    j.key("seed").u64(opts.seed);
+    j.key("epochs").u64(opts.epochs as u64);
+    j.key("batch").u64(opts.batch as u64);
+    j.key("threads").u64(opts.threads as u64);
+    j.key("certified").bool(opts.certify);
+    j.end_object();
+    j.key("eps").begin_object();
+    j.key("p50").f64(eps_p50);
+    j.key("p99").f64(eps_p99);
+    j.end_object();
+    j.key("epoch_ms").begin_object();
+    j.key("p50").f64(ms_p50);
+    j.key("p99").f64(ms_p99);
+    j.end_object();
+    j.key("phase_ms_total").begin_object();
+    j.key("classify").f64(classify_ms);
+    j.key("rebuild").f64(rebuild_ms);
+    j.key("index").f64(index_ms);
+    j.key("certify").f64(certify_ms);
+    j.end_object();
+    j.key("totals").begin_object();
+    j.key("inserts_applied").u64(tot_ins as u64);
+    j.key("deletes_applied").u64(tot_del as u64);
+    j.end_object();
+    j.key("epochs").begin_array();
+    for r in &rows {
+        j.begin_object();
+        j.key("epoch").u64(r.epoch);
+        j.key("updates").u64(r.updates as u64);
+        j.key("ms").f64(r.ms);
+        j.key("eps").f64(r.eps);
+        j.key("fast_swaps").u64(r.fast_swaps as u64);
+        j.key("fast_rejects").u64(r.fast_rejects as u64);
+        j.key("links").u64(r.links as u64);
+        j.key("dirty_components").u64(r.dirty as u64);
+        j.end_object();
+    }
+    j.end_array();
+    j.end_object();
+    j.write_file(std::path::Path::new(&opts.report))
+        .map_err(|e| format!("{}: {e}", opts.report))?;
     println!("report: {}", opts.report);
 
     if eps_p50 < opts.min_eps {
-        eprintln!(
+        return Err(format!(
             "gate FAILED: p50 throughput {eps_p50:.0} updates/s is below --min-eps {:.0}",
             opts.min_eps
-        );
-        std::process::exit(1);
+        )
+        .into());
     }
     if opts.min_eps > 0.0 {
         println!("gate: p50 {eps_p50:.0} updates/s >= {:.0}", opts.min_eps);
     }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn write_report(
-    opts: &Opts,
-    n: usize,
-    m0: usize,
-    rows: &[EpochRow],
-    eps_p50: f64,
-    eps_p99: f64,
-    ms_p50: f64,
-    ms_p99: f64,
-    phase_ms: [f64; 4],
-    tot_ins: usize,
-    tot_del: usize,
-) -> std::io::Result<()> {
-    let path = std::path::Path::new(&opts.report);
-    if let Some(parent) = path.parent() {
-        std::fs::create_dir_all(parent)?;
-    }
-    let mut f = std::io::BufWriter::new(std::fs::File::create(path)?);
-    writeln!(f, "{{\"schema\":\"llp-mst-dynamic-report/v1\",")?;
-    writeln!(f, "\"graph\":{{\"n\":{n},\"m0\":{m0}}},")?;
-    writeln!(
-        f,
-        "\"config\":{{\"scale\":{},\"ef\":{},\"seed\":{},\"epochs\":{},\"batch\":{},\
-         \"threads\":{},\"certified\":{}}},",
-        opts.scale, opts.ef, opts.seed, opts.epochs, opts.batch, opts.threads, opts.certify
-    )?;
-    writeln!(f, "\"eps\":{{\"p50\":{eps_p50:.1},\"p99\":{eps_p99:.1}}},")?;
-    writeln!(f, "\"epoch_ms\":{{\"p50\":{ms_p50:.3},\"p99\":{ms_p99:.3}}},")?;
-    writeln!(
-        f,
-        "\"phase_ms_total\":{{\"classify\":{:.3},\"rebuild\":{:.3},\"index\":{:.3},\
-         \"certify\":{:.3}}},",
-        phase_ms[0], phase_ms[1], phase_ms[2], phase_ms[3]
-    )?;
-    writeln!(
-        f,
-        "\"totals\":{{\"inserts_applied\":{tot_ins},\"deletes_applied\":{tot_del}}},"
-    )?;
-    writeln!(f, "\"epochs\":[")?;
-    for (i, r) in rows.iter().enumerate() {
-        let sep = if i + 1 < rows.len() { "," } else { "" };
-        writeln!(
-            f,
-            "{{\"epoch\":{},\"updates\":{},\"ms\":{:.3},\"eps\":{:.1},\"fast_swaps\":{},\
-             \"fast_rejects\":{},\"links\":{},\"dirty_components\":{}}}{}",
-            r.epoch, r.updates, r.ms, r.eps, r.fast_swaps, r.fast_rejects, r.links, r.dirty, sep
-        )?;
-    }
-    writeln!(f, "]}}")?;
     Ok(())
 }

@@ -34,8 +34,10 @@ use llp_graph::transform::{
 use llp_graph::CsrGraph;
 use llp_mst::prelude::{boruvka_par, llp_boruvka, prim_indexed, spmv_boruvka_par};
 use llp_runtime::atomics::{mwe_propose, weight_hi32, AtomicIndexMin, MWE_EMPTY};
+use llp_runtime::cli::{self, no_leftovers, take_flag, take_parsed, Error};
 use llp_runtime::rng::SmallRng;
 use llp_runtime::{atomics, parallel_for, ParallelForConfig, ScratchArena, ThreadPool};
+use std::process::ExitCode;
 use std::sync::atomic::Ordering;
 
 struct Opts {
@@ -43,30 +45,11 @@ struct Opts {
     threads: usize,
 }
 
-fn main() {
-    let mut opts = Opts {
-        quick: false,
-        threads: 4,
+fn main() -> ExitCode {
+    let opts = match parse_opts(std::env::args().skip(1).collect()) {
+        Ok(opts) => opts,
+        Err(e) => return cli::exit_code("microbench", Err(e)),
     };
-    let mut args = std::env::args().skip(1);
-    while let Some(flag) = args.next() {
-        match flag.as_str() {
-            "--quick" => opts.quick = true,
-            "--threads" => {
-                opts.threads = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| {
-                        eprintln!("--threads needs an integer");
-                        std::process::exit(2);
-                    })
-            }
-            other => {
-                eprintln!("unknown option {other}; usage: microbench [--quick] [--threads N]");
-                std::process::exit(2);
-            }
-        }
-    }
     if cfg!(debug_assertions) {
         eprintln!("warning: debug build; run with --release for meaningful numbers");
     }
@@ -77,6 +60,16 @@ fn main() {
     relabel_prim(&mut c, &opts);
     contraction_round(&mut c, &opts);
     spmv_round(&mut c, &opts);
+    ExitCode::SUCCESS
+}
+
+fn parse_opts(mut args: Vec<String>) -> Result<Opts, Error> {
+    let opts = Opts {
+        quick: take_flag(&mut args, "--quick"),
+        threads: take_parsed(&mut args, "--threads")?.unwrap_or(4),
+    };
+    no_leftovers(&args)?;
+    Ok(opts)
 }
 
 fn samples(opts: &Opts, full: usize) -> usize {

@@ -45,30 +45,28 @@
 
 use llp_bench::workloads::{stream_to_binary, StreamKind};
 use llp_mst::prelude::*;
-use llp_runtime::{telemetry, ThreadPool};
-use std::path::PathBuf;
+use llp_runtime::cli::{
+    self, no_leftovers, take_flag, take_opt, take_parsed, take_required, Error,
+};
+use llp_runtime::json::Json;
+use llp_runtime::{available_threads, telemetry, ThreadPool};
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::time::Instant;
 
 fn main() -> ExitCode {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let Some(cmd) = args.first().cloned() else {
+    if args.is_empty() {
         eprintln!("{USAGE}");
         return ExitCode::from(2);
-    };
-    args.remove(0);
+    }
+    let cmd = args.remove(0);
     let result = match cmd.as_str() {
         "gen" => cmd_gen(&mut args),
         "run" => cmd_run(&mut args),
-        other => Err(format!("unknown command `{other}`\n{USAGE}")),
+        other => Err(Error::Usage(format!("unknown command `{other}`\n{USAGE}"))),
     };
-    match result {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(msg) => {
-            eprintln!("ooc-bench {cmd}: {msg}");
-            ExitCode::FAILURE
-        }
-    }
+    cli::exit_code(&format!("ooc-bench {cmd}"), result)
 }
 
 const USAGE: &str = "usage: ooc-bench <gen|run> [options]
@@ -77,55 +75,18 @@ const USAGE: &str = "usage: ooc-bench <gen|run> [options]
       [--no-certify] [--report out.json] [--max-rss-frac 0.5] [--rss-baseline-mb 0]
       [--checkpoint ck.llp] [--stop-after-shards N]   (exit 3 = interrupted, resumable)";
 
-/// Removes `--name value` from `args`, if present.
-fn take_opt(args: &mut Vec<String>, name: &str) -> Result<Option<String>, String> {
-    let Some(i) = args.iter().position(|a| a == name) else {
-        return Ok(None);
-    };
-    if i + 1 >= args.len() {
-        return Err(format!("{name} needs a value"));
-    }
-    let v = args.remove(i + 1);
-    args.remove(i);
-    Ok(Some(v))
-}
-
-/// Removes the bare flag `--name` from `args`; true if it was present.
-fn take_flag(args: &mut Vec<String>, name: &str) -> bool {
-    let Some(i) = args.iter().position(|a| a == name) else {
-        return false;
-    };
-    args.remove(i);
-    true
-}
-
-fn parse<T: std::str::FromStr>(name: &str, v: Option<String>, default: T) -> Result<T, String> {
-    match v {
-        None => Ok(default),
-        Some(s) => s.parse().map_err(|_| format!("bad value for {name}: {s}")),
-    }
-}
-
-/// Errors on leftover (unrecognized) arguments.
-fn no_leftovers(args: &[String]) -> Result<(), String> {
-    if args.is_empty() {
-        Ok(())
-    } else {
-        Err(format!("unrecognized arguments: {}", args.join(" ")))
-    }
-}
-
-fn cmd_gen(args: &mut Vec<String>) -> Result<(), String> {
-    let out = take_opt(args, "--out")?.ok_or("--out is required")?;
+fn cmd_gen(args: &mut Vec<String>) -> Result<(), Error> {
+    let out = take_required(args, "--out")?;
     let kind_s = take_opt(args, "--kind")?.unwrap_or_else(|| "rmat".into());
-    let kind = StreamKind::parse(&kind_s).ok_or(format!("bad --kind {kind_s} (rmat|er)"))?;
-    let scale: u32 = parse("--scale", take_opt(args, "--scale")?, 16)?;
-    let ef: usize = parse("--ef", take_opt(args, "--ef")?, 16)?;
-    let seed: u64 = parse("--seed", take_opt(args, "--seed")?, 1)?;
-    let chunk: usize = parse("--chunk-edges", take_opt(args, "--chunk-edges")?, 0)?;
+    let kind = StreamKind::parse(&kind_s)
+        .ok_or_else(|| Error::Usage(format!("bad --kind {kind_s} (rmat|er)")))?;
+    let scale: u32 = take_parsed(args, "--scale")?.unwrap_or(16);
+    let ef: usize = take_parsed(args, "--ef")?.unwrap_or(16);
+    let seed: u64 = take_parsed(args, "--seed")?.unwrap_or(1);
+    let chunk: usize = take_parsed(args, "--chunk-edges")?.unwrap_or(0);
     no_leftovers(args)?;
     if scale > 31 {
-        return Err("--scale must be <= 31".into());
+        return Err(Error::Usage("--scale must be <= 31".into()));
     }
     let t0 = Instant::now();
     let info = stream_to_binary(&PathBuf::from(&out), kind, scale, ef, seed, chunk)?;
@@ -140,6 +101,7 @@ fn cmd_gen(args: &mut Vec<String>) -> Result<(), String> {
 }
 
 /// Everything `run` measures, marshalled into the report and the gate.
+#[derive(Default)]
 struct RunReport {
     graph: String,
     n: usize,
@@ -176,73 +138,65 @@ impl RunReport {
         }
     }
 
-    fn to_json(&self) -> String {
-        let (rss, frac) = match self.peak_rss_bytes {
-            Some(b) => (b.to_string(), format!("{:.4}", b as f64 / self.file_bytes as f64)),
-            None => ("null".into(), "null".into()),
+    fn to_json(&self) -> Json {
+        let mut j = Json::new();
+        j.begin_object();
+        j.key("schema").str("llp-mst-ooc-report/v1");
+        j.key("graph").begin_object();
+        j.key("path").str(&self.graph);
+        j.key("n").u64(self.n as u64);
+        j.key("m").u64(self.m);
+        j.key("bytes").u64(self.file_bytes);
+        j.end_object();
+        j.key("shard_edges").u64(self.shard_edges as u64);
+        j.key("shards").u64(self.shards as u64);
+        j.key("threads").u64(self.threads as u64);
+        j.key("read_ahead").u64(self.read_ahead as u64);
+        j.key("certified").bool(self.certified);
+        j.key("msf_edges").u64(self.msf_edges as u64);
+        j.key("total_weight").f64(self.total_weight);
+        j.key("candidate_edges").u64(self.candidate_edges);
+        j.key("filtered_edges").u64(self.filtered_edges);
+        j.key("wall_ms").f64(self.wall_ms);
+        j.key("peak_rss_bytes").opt_u64(self.peak_rss_bytes);
+        match self.peak_rss_bytes {
+            Some(b) => j.key("rss_frac").f64(b as f64 / self.file_bytes as f64),
+            None => j.key("rss_frac").null(),
         };
-        format!(
-            "{{\"schema\":\"llp-mst-ooc-report/v1\",\
-             \"graph\":{{\"path\":\"{}\",\"n\":{},\"m\":{},\"bytes\":{}}},\
-             \"shard_edges\":{},\"shards\":{},\"threads\":{},\"read_ahead\":{},\
-             \"certified\":{},\"msf_edges\":{},\"total_weight\":{:.6},\
-             \"candidate_edges\":{},\"filtered_edges\":{},\
-             \"wall_ms\":{:.3},\"peak_rss_bytes\":{rss},\"rss_frac\":{frac},\
-             \"gate\":{{\"max_rss_frac\":{},\"rss_baseline_mb\":{},\
-             \"limit_bytes\":{},\"pass\":{}}}}}",
-            self.graph.replace('\\', "\\\\").replace('"', "\\\""),
-            self.n,
-            self.m,
-            self.file_bytes,
-            self.shard_edges,
-            self.shards,
-            self.threads,
-            self.read_ahead,
-            self.certified,
-            self.msf_edges,
-            self.total_weight,
-            self.candidate_edges,
-            self.filtered_edges,
-            self.wall_ms,
-            self.max_rss_frac,
-            self.rss_baseline_mb,
-            self.limit_bytes(),
-            self.gate_pass(),
-        )
+        j.key("gate").begin_object();
+        j.key("max_rss_frac").f64(self.max_rss_frac);
+        j.key("rss_baseline_mb").u64(self.rss_baseline_mb);
+        j.key("limit_bytes").u64(self.limit_bytes());
+        j.key("pass").bool(self.gate_pass());
+        j.end_object();
+        j.end_object();
+        j
     }
 }
 
-fn cmd_run(args: &mut Vec<String>) -> Result<(), String> {
-    let graph = take_opt(args, "--graph")?.ok_or("--graph is required")?;
-    let shard_mb: Option<u64> = take_opt(args, "--shard-mb")?
-        .map(|s| s.parse().map_err(|_| format!("bad value for --shard-mb: {s}")))
-        .transpose()?;
-    let default_shard = ShardedConfig::default().shard_edges;
+fn cmd_run(args: &mut Vec<String>) -> Result<(), Error> {
+    let graph = take_required(args, "--graph")?;
+    let shard_mb: Option<u64> = take_parsed(args, "--shard-mb")?;
     let mut shard_edges: usize =
-        parse("--shard-edges", take_opt(args, "--shard-edges")?, default_shard)?;
+        take_parsed(args, "--shard-edges")?.unwrap_or(ShardedConfig::default().shard_edges);
     if let Some(mb) = shard_mb {
         // ~64 B/edge peak working set per resident shard during
         // contraction (see the sharded module docs); budget accordingly.
         shard_edges = ((mb << 20) / 64).max(1) as usize;
     }
-    let threads: usize = parse(
-        "--threads",
-        take_opt(args, "--threads")?,
-        std::thread::available_parallelism().map_or(1, |n| n.get()),
-    )?;
-    let read_ahead: usize = parse("--read-ahead", take_opt(args, "--read-ahead")?, 1)?;
+    let threads: usize = take_parsed(args, "--threads")?.unwrap_or(available_threads());
+    let read_ahead: usize = take_parsed(args, "--read-ahead")?.unwrap_or(1);
     let certify = !take_flag(args, "--no-certify");
     let report_path = take_opt(args, "--report")?;
-    let max_rss_frac: f64 = parse("--max-rss-frac", take_opt(args, "--max-rss-frac")?, 0.5)?;
-    let rss_baseline_mb: u64 =
-        parse("--rss-baseline-mb", take_opt(args, "--rss-baseline-mb")?, 0)?;
+    let max_rss_frac: f64 = take_parsed(args, "--max-rss-frac")?.unwrap_or(0.5);
+    let rss_baseline_mb: u64 = take_parsed(args, "--rss-baseline-mb")?.unwrap_or(0);
     let checkpoint = take_opt(args, "--checkpoint")?.map(PathBuf::from);
-    let stop_after_shards: Option<usize> = take_opt(args, "--stop-after-shards")?
-        .map(|s| s.parse().map_err(|_| format!("bad value for --stop-after-shards: {s}")))
-        .transpose()?;
+    let stop_after_shards: Option<usize> = take_parsed(args, "--stop-after-shards")?;
     no_leftovers(args)?;
     if stop_after_shards.is_some() && checkpoint.is_none() {
-        return Err("--stop-after-shards without --checkpoint would lose the partial run".into());
+        return Err(Error::Usage(
+            "--stop-after-shards without --checkpoint would lose the partial run".into(),
+        ));
     }
 
     let path = PathBuf::from(&graph);
@@ -268,7 +222,7 @@ fn cmd_run(args: &mut Vec<String>) -> Result<(), String> {
             );
             std::process::exit(3);
         }
-        Err(e) => return Err(e.to_string()),
+        Err(e) => return Err(e.to_string().into()),
     };
     let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
     if let Some(done) = run.resumed_from {
@@ -319,19 +273,43 @@ fn cmd_run(args: &mut Vec<String>) -> Result<(), String> {
     }
 
     if let Some(p) = report_path {
-        std::fs::write(&p, report.to_json()).map_err(|e| format!("{p}: {e}"))?;
+        report
+            .to_json()
+            .write_file(Path::new(&p))
+            .map_err(|e| format!("{p}: {e}"))?;
         println!("report written to {p}");
     }
 
     if !report.certified && certify {
-        return Err("certification did not run".into());
+        return Err(Error::Failed("certification did not run".into()));
     }
     if !report.gate_pass() {
         return Err(format!(
             "RSS gate failed: peak {} > limit {} bytes",
             report.peak_rss_bytes.unwrap_or(0),
             report.limit_bytes()
-        ));
+        )
+        .into());
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn report_escapes_any_graph_path() {
+        let report = RunReport {
+            graph: "dir\\with \"quotes\"\tand\nnewline.bin".into(),
+            file_bytes: 108,
+            ..RunReport::default()
+        };
+        let text = report.to_json().finish();
+        assert_eq!(llp_runtime::json::validate(&text), Ok(()), "{text}");
+        let path = r#""path":"dir\\with \"quotes\"\tand\nnewline.bin""#;
+        assert!(text.contains(path), "{text}");
+        let rss = r#""peak_rss_bytes":null,"rss_frac":null"#;
+        assert!(text.contains(rss), "{text}");
+    }
 }

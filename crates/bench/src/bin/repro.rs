@@ -23,7 +23,9 @@ use llp_bench::harness::{
     format_table, time_algorithm_with_report, write_csv, write_json_report, RunRecord, Sample,
 };
 use llp_bench::{Algorithm, Scale, Workload};
+use llp_runtime::cli::{self, no_leftovers, take_opt, take_parsed, Error};
 use std::path::PathBuf;
+use std::process::ExitCode;
 
 /// Peels the timing samples out of telemetry-bearing records for CSV output.
 fn samples_of(records: &[RunRecord]) -> Vec<Sample> {
@@ -70,50 +72,17 @@ impl Options {
     }
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some(command) = args.first() else {
+fn main() -> ExitCode {
+    let mut args: Vec<String> = std::env::args().skip(1).collect();
+    if args.is_empty() {
         eprintln!("usage: repro <table1|fig2|fig3|fig4|ablation|sizes|all> [options]");
-        std::process::exit(2);
-    };
-
-    let mut opts = Options {
-        scale: Scale::Medium,
-        reps: 3,
-        max_threads: 8,
-        seed: 42,
-        out: PathBuf::from("results"),
-        dimacs: None,
-    };
-    let mut it = args[1..].iter();
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| {
-            it.next().cloned().unwrap_or_else(|| {
-                eprintln!("{name} needs a value");
-                std::process::exit(2);
-            })
-        };
-        match flag.as_str() {
-            "--scale" => {
-                let v = value("--scale");
-                opts.scale = Scale::parse(&v).unwrap_or_else(|| {
-                    eprintln!("unknown scale '{v}'");
-                    std::process::exit(2);
-                });
-            }
-            "--reps" => opts.reps = value("--reps").parse().expect("--reps N"),
-            "--max-threads" => {
-                opts.max_threads = value("--max-threads").parse().expect("--max-threads N")
-            }
-            "--seed" => opts.seed = value("--seed").parse().expect("--seed N"),
-            "--out" => opts.out = PathBuf::from(value("--out")),
-            "--dimacs" => opts.dimacs = Some(PathBuf::from(value("--dimacs"))),
-            other => {
-                eprintln!("unknown option {other}");
-                std::process::exit(2);
-            }
-        }
+        return ExitCode::from(2);
     }
+    let command = args.remove(0);
+    let opts = match parse_opts(&mut args) {
+        Ok(opts) => opts,
+        Err(e) => return cli::exit_code("repro", Err(e)),
+    };
 
     match command.as_str() {
         "table1" => table1(&opts),
@@ -131,10 +100,30 @@ fn main() {
             sizes(&opts);
         }
         other => {
-            eprintln!("unknown command {other}");
-            std::process::exit(2);
+            return cli::exit_code(
+                "repro",
+                Err(Error::Usage(format!("unknown command {other}"))),
+            )
         }
     }
+    ExitCode::SUCCESS
+}
+
+fn parse_opts(args: &mut Vec<String>) -> Result<Options, Error> {
+    let scale = match take_opt(args, "--scale")? {
+        Some(v) => Scale::parse(&v).ok_or_else(|| Error::Usage(format!("unknown scale '{v}'")))?,
+        None => Scale::Medium,
+    };
+    let opts = Options {
+        scale,
+        reps: take_parsed(args, "--reps")?.unwrap_or(3),
+        max_threads: take_parsed(args, "--max-threads")?.unwrap_or(8),
+        seed: take_parsed(args, "--seed")?.unwrap_or(42),
+        out: take_opt(args, "--out")?.map_or_else(|| PathBuf::from("results"), PathBuf::from),
+        dimacs: take_opt(args, "--dimacs")?.map(PathBuf::from),
+    };
+    no_leftovers(args)?;
+    Ok(opts)
 }
 
 /// Table I: dataset summary.

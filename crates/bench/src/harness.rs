@@ -3,6 +3,7 @@
 use crate::algorithms::{run_algorithm_with_mwe, Algorithm};
 use crate::workloads::Workload;
 use llp_mst::AlgoStats;
+use llp_runtime::json::Json;
 use llp_runtime::{telemetry, ThreadPool};
 use std::io::Write;
 use std::time::Instant;
@@ -157,93 +158,50 @@ pub fn write_csv(path: &std::path::Path, samples: &[Sample]) -> std::io::Result<
         std::fs::create_dir_all(parent)?;
     }
     let mut f = std::io::BufWriter::new(std::fs::File::create(path)?);
+    let names = AlgoStats::default().fields().map(|(name, _)| name);
     writeln!(
         f,
-        "algorithm,workload,threads,median_ms,min_ms,total_weight,heap_pushes,heap_pops,\
-         decrease_keys,edges_scanned,early_fixes,heap_fixes,rounds,pointer_jumps,\
-         cas_retries,atomic_rmw,parallel_regions"
+        "algorithm,workload,threads,median_ms,min_ms,total_weight,{}",
+        names.join(",")
     )?;
     for s in samples {
+        let counts = s.stats.fields().map(|(_, v)| v.to_string());
         writeln!(
             f,
-            "{},{},{},{:.3},{:.3},{},{},{},{},{},{},{},{},{},{},{},{}",
+            "{},{},{},{:.3},{:.3},{},{}",
             s.algo.label(),
             s.workload,
             s.threads,
             s.median_ms,
             s.min_ms,
             s.total_weight,
-            s.stats.heap_pushes,
-            s.stats.heap_pops,
-            s.stats.decrease_keys,
-            s.stats.edges_scanned,
-            s.stats.early_fixes,
-            s.stats.heap_fixes,
-            s.stats.rounds,
-            s.stats.pointer_jumps,
-            s.stats.cas_retries,
-            s.stats.atomic_rmw,
-            s.stats.parallel_regions,
+            counts.join(","),
         )?;
     }
     Ok(())
 }
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-fn stats_json(s: &AlgoStats) -> String {
-    format!(
-        "{{\"heap_pushes\":{},\"heap_pops\":{},\"decrease_keys\":{},\"edges_scanned\":{},\
-         \"early_fixes\":{},\"heap_fixes\":{},\"rounds\":{},\"pointer_jumps\":{},\
-         \"cas_retries\":{},\"atomic_rmw\":{},\"parallel_regions\":{}}}",
-        s.heap_pushes,
-        s.heap_pops,
-        s.decrease_keys,
-        s.edges_scanned,
-        s.early_fixes,
-        s.heap_fixes,
-        s.rounds,
-        s.pointer_jumps,
-        s.cas_retries,
-        s.atomic_rmw,
-        s.parallel_regions,
-    )
-}
-
-/// Serialises one record as a JSON object: identity + timing + work
-/// metrics + the embedded telemetry report.
-pub fn record_json(r: &RunRecord) -> String {
+/// Writes one record as a JSON object: identity + timing + work metrics +
+/// the embedded telemetry report.
+fn write_record(j: &mut Json, r: &RunRecord) {
     let s = &r.sample;
-    let peak_rss = match r.peak_rss_bytes {
-        Some(b) => b.to_string(),
-        None => "null".into(),
-    };
-    format!(
-        "{{\"algorithm\":\"{}\",\"workload\":\"{}\",\"threads\":{},\
-         \"median_ms\":{:.6},\"min_ms\":{:.6},\"total_weight\":{:.6},\
-         \"certified\":{},\"peak_rss_bytes\":{},\"stats\":{},\"telemetry\":{}}}",
-        json_escape(s.algo.label()),
-        json_escape(&s.workload),
-        s.threads,
-        s.median_ms,
-        s.min_ms,
-        s.total_weight,
-        r.certified,
-        peak_rss,
-        stats_json(&s.stats),
-        r.telemetry.to_json(),
-    )
+    j.begin_object();
+    j.key("algorithm").str(s.algo.label());
+    j.key("workload").str(&s.workload);
+    j.key("threads").u64(s.threads as u64);
+    j.key("median_ms").f64(s.median_ms);
+    j.key("min_ms").f64(s.min_ms);
+    j.key("total_weight").f64(s.total_weight);
+    j.key("certified").bool(r.certified);
+    j.key("peak_rss_bytes").opt_u64(r.peak_rss_bytes);
+    j.key("stats").begin_object();
+    for (name, v) in s.stats.fields() {
+        j.key(name).u64(v);
+    }
+    j.end_object();
+    j.key("telemetry");
+    r.telemetry.write_json(j);
+    j.end_object();
 }
 
 /// Writes run records as a structured JSON report to `path` (creating
@@ -266,17 +224,16 @@ pub fn record_json(r: &RunRecord) -> String {
 /// }
 /// ```
 pub fn write_json_report(path: &std::path::Path, records: &[RunRecord]) -> std::io::Result<()> {
-    if let Some(parent) = path.parent() {
-        std::fs::create_dir_all(parent)?;
+    let mut j = Json::new();
+    j.begin_object();
+    j.key("schema").str("llp-mst-run-report/v1");
+    j.key("runs").begin_array();
+    for r in records {
+        write_record(&mut j, r);
     }
-    let mut f = std::io::BufWriter::new(std::fs::File::create(path)?);
-    writeln!(f, "{{\"schema\":\"llp-mst-run-report/v1\",\"runs\":[")?;
-    for (i, r) in records.iter().enumerate() {
-        let sep = if i + 1 < records.len() { "," } else { "" };
-        writeln!(f, "{}{}", record_json(r), sep)?;
-    }
-    writeln!(f, "]}}")?;
-    Ok(())
+    j.end_array();
+    j.end_object();
+    j.write_file(path)
 }
 
 #[cfg(test)]

@@ -5,8 +5,8 @@
 //! This module computes the canonical MSF of a graph stored in the binary
 //! on-disk format while holding only a bounded number of edges resident,
 //! following the Borůvka-filter shape of Sanders & Schimek's massively
-//! parallel MST engineering (partition edges → contract locally → filter
-//! against global component structure → merge):
+//! parallel MST engineering (partition edges → contract locally → merge,
+//! filtering against the global component structure in the merge):
 //!
 //! 1. **Shard.** The edge file is cut into fixed-size record ranges and
 //!    streamed through [`llp_graph::io::read_binary_range`] by a reader
@@ -20,20 +20,16 @@
 //!    contraction engine ([`crate::contraction::Contraction`]), reusing
 //!    one scratch arena across shards. At most `n_shard − 1` candidate
 //!    edges survive per shard.
-//! 3. **Filter.** A candidate `e` is discarded — before the merge ever
-//!    sees it — iff its endpoints are already connected by the
-//!    accumulated forest *and* `e.key()` is strictly heavier than every
-//!    accumulated key (`e.key() > max(acc)`): the cycle property then
-//!    rules `e` out of the global MSF using only strictly lighter edges.
-//!    Connectivity is answered by a shared
-//!    [`crate::union_find::ConcurrentUnionFind`] swept in parallel, the
-//!    Filter-Kruskal discard rule applied across shards.
-//! 4. **Merge.** Surviving candidates (key-sorted) are two-pointer merged
-//!    with the accumulated forest into a Kruskal scan over a fresh
-//!    union-find: `MSF(A ∪ B) = MSF(MSF(A) ∪ MSF(B))` under the strict
-//!    key order, so the accumulator is always the canonical MSF of every
-//!    edge streamed so far — an accumulated edge can still be evicted by
-//!    a lighter edge from a later shard.
+//! 3. **Merge.** The candidates (key-sorted) are two-pointer merged with
+//!    the accumulated forest into a Kruskal scan over a fresh union-find:
+//!    `MSF(A ∪ B) = MSF(MSF(A) ∪ MSF(B))` under the strict key order, so
+//!    the accumulator is always the canonical MSF of every edge streamed
+//!    so far — an accumulated edge can still be evicted by a lighter edge
+//!    from a later shard. The scan is also the cross-shard filter: a
+//!    candidate whose endpoints lighter edges already connect is
+//!    discarded there. No separate prefilter runs ahead of it — the
+//!    Filter-Kruskal rule `e.key() > max(acc)` almost never holds once the
+//!    forest holds a heavy edge (EXPERIMENTS.md: 25 of 79.6M candidates).
 //!
 //! The optional certification pass re-streams the file and checks every
 //! record against a [`PathMaxIndex`] of the final forest — the same cycle
@@ -47,16 +43,13 @@ use crate::contraction::Contraction;
 use crate::index::{key_bits, PathMaxIndex, INF_KEY};
 use crate::result::MstResult;
 use crate::stats::AlgoStats;
-use crate::union_find::{ConcurrentUnionFind, UnionFind};
+use crate::union_find::UnionFind;
 use crate::verify::VerifyError;
 use llp_graph::io::{faulty_reader, read_binary_range, write_binary, IoError};
 use llp_graph::{CsrGraph, Edge, EdgeKey};
 use llp_runtime::sort::par_sort_by_key;
 use llp_runtime::sync::Mutex;
-use llp_runtime::{
-    parallel_for_chunks, partition::retain_parallel, telemetry, ParallelForConfig, ScratchArena,
-    ThreadPool,
-};
+use llp_runtime::{parallel_for_chunks, telemetry, ParallelForConfig, ScratchArena, ThreadPool};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver};
@@ -116,8 +109,8 @@ pub struct ShardedRun {
     pub certified: bool,
     /// Local MSF candidates produced by per-shard contraction.
     pub candidate_edges: u64,
-    /// Candidates discarded by the cross-shard Filter-Kruskal rule
-    /// before the merge scan saw them.
+    /// Candidates the merge scan discarded: their endpoints were already
+    /// connected by lighter accumulated or candidate edges.
     pub filtered_edges: u64,
     /// `Some(s)` when the run resumed from a checkpoint with `s` shards
     /// already complete (so only `shards - s` were processed here).
@@ -430,26 +423,17 @@ pub fn sharded_msf_file(
 
     let mut stats = AlgoStats::default();
     let mut acc: Vec<Edge> = Vec::new();
-    let cuf = ConcurrentUnionFind::new(n);
     let mut arena = ScratchArena::new();
     let mut remap = ShardRemap::new(n);
     let mut candidate_edges = 0u64;
     let mut filtered_edges = 0u64;
 
-    // Resume: adopt a durable checkpoint's forest and counters, then
-    // rebuild the filter's union-find from the forest alone. That is
-    // sound because the accumulator after shard k is the canonical MSF of
-    // every candidate published to the union-find so far, and an MSF
-    // preserves the connectivity of its input edge set — so
-    // `connectivity(cuf) == connectivity(acc)` at every shard boundary,
-    // and re-unioning acc's edges reproduces the filter state exactly.
+    // Resume: adopt a durable checkpoint's forest and counters; the
+    // accumulator is the whole state the fold carries between shards.
     let mut start_shard = 0usize;
     let mut resumed_from = None;
     if let Some(ck_path) = &cfg.checkpoint {
         if let Some(ck) = load_checkpoint(ck_path, file_bytes, n as u64, m, shard_edges as u64) {
-            for e in &ck.acc {
-                cuf.union(e.u, e.v);
-            }
             acc = ck.acc;
             candidate_edges = ck.candidate_edges;
             filtered_edges = ck.filtered_edges;
@@ -494,31 +478,10 @@ pub fn sharded_msf_file(
 
             par_sort_by_key(pool, &mut cand, Edge::key);
 
-            // Filter-Kruskal discard across shards: endpoints already
-            // connected in the accumulator, using only strictly lighter
-            // edges (every accumulated key ≤ max(acc) < e.key()), can
-            // never join the global MSF. Equal keys cannot occur between
-            // distinct records, and a byte-identical duplicate of an
-            // accumulated edge shares its key, fails the strict `>` and
-            // is discarded by the merge scan instead.
-            if let Some(last) = acc.last() {
-                let max_key = last.key();
-                let before = cand.len();
-                retain_parallel(pool, &mut cand, |e| {
-                    !(e.key() > max_key && cuf.same(e.u, e.v))
-                });
-                filtered_edges += (before - cand.len()) as u64;
-            }
-
-            // Publish the survivors' connectivity, then merge-scan the two
-            // key-sorted forests through a fresh union-find: the Kruskal
-            // scan over MSF(acc) ∪ MSF(shard) yields MSF(acc ∪ shard).
-            parallel_for_chunks(pool, 0..cand.len(), par, |chunk| {
-                for i in chunk {
-                    cuf.union(cand[i].u, cand[i].v);
-                }
-            });
-            stats.parallel_regions += 1;
+            // Merge-scan the two key-sorted forests through a fresh
+            // union-find: the Kruskal scan over MSF(acc) ∪ MSF(shard)
+            // yields MSF(acc ∪ shard). A byte-identical duplicate of an
+            // accumulated edge shares its key and is discarded here too.
             let mut uf = UnionFind::new(n);
             let mut merged = Vec::with_capacity(acc.len() + cand.len());
             let (mut i, mut j) = (0, 0);
@@ -536,6 +499,8 @@ pub fn sharded_msf_file(
                 };
                 if uf.union(e.u, e.v) {
                     merged.push(e);
+                } else if !take_acc {
+                    filtered_edges += 1;
                 }
             }
             acc = merged;
@@ -561,7 +526,6 @@ pub fn sharded_msf_file(
         }
     }
 
-    stats.cas_retries += cuf.cas_retries();
     telemetry::counter_add("sharded-shards", shards as u64);
     telemetry::counter_add("sharded-candidates", candidate_edges);
     telemetry::counter_add("sharded-filtered", filtered_edges);

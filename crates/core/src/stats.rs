@@ -47,6 +47,24 @@ impl AlgoStats {
         self.atomic_rmw + self.cas_retries + self.parallel_regions
     }
 
+    /// Every counter with its name, in declaration order (the column
+    /// order of the bench harness's CSV and JSON reports).
+    pub fn fields(&self) -> [(&'static str, u64); 11] {
+        [
+            ("heap_pushes", self.heap_pushes),
+            ("heap_pops", self.heap_pops),
+            ("decrease_keys", self.decrease_keys),
+            ("edges_scanned", self.edges_scanned),
+            ("early_fixes", self.early_fixes),
+            ("heap_fixes", self.heap_fixes),
+            ("rounds", self.rounds),
+            ("pointer_jumps", self.pointer_jumps),
+            ("cas_retries", self.cas_retries),
+            ("atomic_rmw", self.atomic_rmw),
+            ("parallel_regions", self.parallel_regions),
+        ]
+    }
+
     /// Component-wise sum (for aggregating repeated runs).
     pub fn merge(&self, other: &AlgoStats) -> AlgoStats {
         AlgoStats {

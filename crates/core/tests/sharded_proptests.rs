@@ -94,6 +94,13 @@ fn sharded_matches_filter_kruskal_on_adversarial_multigraphs() {
             );
             assert_eq!(r.num_trees, oracle.num_trees, "seed {seed} shard {shard_edges}");
             assert_eq!(r.total_weight, oracle.total_weight, "seed {seed} shard {shard_edges}");
+            // The merge scan discards candidates only across shards: one
+            // shard's candidates are already a forest.
+            let (filtered, candidates) = (run.filtered_edges, run.candidate_edges);
+            assert!(filtered <= candidates, "seed {seed} shard {shard_edges}");
+            if run.shards <= 1 {
+                assert_eq!(filtered, 0, "seed {seed} shard {shard_edges}");
+            }
         }
         std::fs::remove_file(&path).unwrap();
     }

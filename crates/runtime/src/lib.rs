@@ -33,12 +33,16 @@
 //! * [`faults`] — seeded I/O fault injection (short reads/writes, transient
 //!   errors, truncation, detectable corruption, ENOSPC) behind the `faults`
 //!   cargo feature, for robustness testing of the I/O and serving stack.
+//! * [`cli`] / [`json`] — the argument parsing and the JSON report writer
+//!   shared by every binary in the workspace.
 
 pub mod atomics;
 pub mod bag;
 pub mod chaos;
+pub mod cli;
 pub mod counters;
 pub mod faults;
+pub mod json;
 pub mod parallel_for;
 pub mod partition;
 pub mod pool;

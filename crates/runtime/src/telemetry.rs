@@ -31,8 +31,9 @@
 //!
 //! A harness brackets a run with [`begin_run`] and [`take_report`]; the
 //! returned [`RunReport`] serialises itself to JSON via
-//! [`RunReport::to_json`] (no external serialisation crates are available in
-//! hermetic builds).
+//! [`RunReport::to_json`] through the shared [`crate::json`] writer.
+
+use crate::json::Json;
 
 /// Aggregate timing for one named phase.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -80,75 +81,54 @@ pub struct RunReport {
     pub counters: Vec<(String, u64)>,
 }
 
-fn escape_json(s: &str, out: &mut String) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-}
-
 impl RunReport {
     /// Serialises the report as a JSON object (stable key order).
+    pub fn to_json(&self) -> String {
+        let mut j = Json::new();
+        self.write_json(&mut j);
+        j.finish()
+    }
+
+    /// Writes the report as one JSON object value into `j`.
     ///
     /// Histogram buckets are emitted sparsely as `[[bit_length, count], ...]`
     /// so reports stay small for long runs with narrow distributions.
-    pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(256);
-        out.push_str("{\"enabled\":");
-        out.push_str(if self.enabled { "true" } else { "false" });
-        out.push_str(",\"phases\":[");
-        for (i, p) in self.phases.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("{\"name\":\"");
-            escape_json(&p.name, &mut out);
-            out.push_str(&format!(
-                "\",\"calls\":{},\"total_ns\":{},\"min_ns\":{},\"max_ns\":{}}}",
-                p.calls, p.total_ns, p.min_ns, p.max_ns
-            ));
+    pub fn write_json(&self, j: &mut Json) {
+        j.begin_object();
+        j.key("enabled").bool(self.enabled);
+        j.key("phases").begin_array();
+        for p in &self.phases {
+            j.begin_object();
+            j.key("name").str(&p.name);
+            j.key("calls").u64(p.calls);
+            j.key("total_ns").u64(p.total_ns);
+            j.key("min_ns").u64(p.min_ns);
+            j.key("max_ns").u64(p.max_ns);
+            j.end_object();
         }
-        out.push_str("],\"series\":[");
-        for (i, s) in self.series.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
+        j.end_array();
+        j.key("series").begin_array();
+        for s in &self.series {
+            j.begin_object();
+            j.key("name").str(&s.name);
+            j.key("count").u64(s.count);
+            j.key("sum").u64(s.sum);
+            j.key("min").u64(s.min);
+            j.key("max").u64(s.max);
+            j.key("log2_buckets").begin_array();
+            for (bits, &n) in s.buckets.iter().enumerate().filter(|(_, &n)| n > 0) {
+                j.begin_array().u64(bits as u64).u64(n).end_array();
             }
-            out.push_str("{\"name\":\"");
-            escape_json(&s.name, &mut out);
-            out.push_str(&format!(
-                "\",\"count\":{},\"sum\":{},\"min\":{},\"max\":{},\"log2_buckets\":[",
-                s.count, s.sum, s.min, s.max
-            ));
-            let mut first = true;
-            for (bits, &n) in s.buckets.iter().enumerate() {
-                if n > 0 {
-                    if !first {
-                        out.push(',');
-                    }
-                    first = false;
-                    out.push_str(&format!("[{bits},{n}]"));
-                }
-            }
-            out.push_str("]}");
+            j.end_array();
+            j.end_object();
         }
-        out.push_str("],\"counters\":{");
-        for (i, (name, value)) in self.counters.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push('"');
-            escape_json(name, &mut out);
-            out.push_str(&format!("\":{value}"));
+        j.end_array();
+        j.key("counters").begin_object();
+        for (name, value) in &self.counters {
+            j.key(name).u64(*value);
         }
-        out.push_str("}}");
-        out
+        j.end_object();
+        j.end_object();
     }
 }
 

@@ -13,8 +13,8 @@
 use crate::protocol::{Query, Response, MAX_BATCH};
 use crate::retry::{RetryPolicy, RetryingClient};
 use crate::service::MsfService;
+use llp_runtime::json::Json;
 use llp_runtime::rng::SmallRng;
-use std::io::{BufWriter, Write};
 use std::time::Instant;
 
 /// One batch-size measurement.
@@ -182,38 +182,37 @@ pub struct ReportInputs<'a> {
 /// }
 /// ```
 pub fn write_report(path: &std::path::Path, inputs: &ReportInputs<'_>) -> std::io::Result<()> {
-    if let Some(parent) = path.parent() {
-        std::fs::create_dir_all(parent)?;
+    let mut j = Json::new();
+    j.begin_object();
+    j.key("schema").str("llp-mst-serve-report/v1");
+    j.key("graph").begin_object();
+    j.key("n").u64(inputs.n as u64);
+    j.key("m").u64(inputs.m as u64);
+    j.key("num_trees").u64(inputs.num_trees as u64);
+    j.end_object();
+    j.key("build_ms").begin_object();
+    j.key("msf").f64(inputs.build.msf_ms);
+    j.key("index").f64(inputs.build.index_ms);
+    j.key("certify").f64(inputs.build.certify_ms);
+    j.end_object();
+    j.key("threads").u64(inputs.threads as u64);
+    j.key("workers").u64(inputs.workers as u64);
+    j.key("verified").bool(inputs.verified);
+    j.key("sweep").begin_array();
+    for p in inputs.sweep {
+        j.begin_object();
+        j.key("batch").u64(p.batch as u64);
+        j.key("queries").u64(p.queries);
+        j.key("elapsed_s").f64(p.elapsed_s);
+        j.key("qps").f64(p.qps);
+        j.key("p50_us").f64(p.p50_us);
+        j.key("p99_us").f64(p.p99_us);
+        j.key("retries").u64(p.retries);
+        j.end_object();
     }
-    let mut f = BufWriter::new(std::fs::File::create(path)?);
-    writeln!(f, "{{\"schema\":\"llp-mst-serve-report/v1\",")?;
-    writeln!(
-        f,
-        "\"graph\":{{\"n\":{},\"m\":{},\"num_trees\":{}}},",
-        inputs.n, inputs.m, inputs.num_trees
-    )?;
-    writeln!(
-        f,
-        "\"build_ms\":{{\"msf\":{:.3},\"index\":{:.3},\"certify\":{:.3}}},",
-        inputs.build.msf_ms, inputs.build.index_ms, inputs.build.certify_ms
-    )?;
-    writeln!(
-        f,
-        "\"threads\":{},\"workers\":{},\"verified\":{},",
-        inputs.threads, inputs.workers, inputs.verified
-    )?;
-    writeln!(f, "\"sweep\":[")?;
-    for (i, p) in inputs.sweep.iter().enumerate() {
-        let sep = if i + 1 < inputs.sweep.len() { "," } else { "" };
-        writeln!(
-            f,
-            "{{\"batch\":{},\"queries\":{},\"elapsed_s\":{:.6},\"qps\":{:.1},\
-             \"p50_us\":{:.2},\"p99_us\":{:.2},\"retries\":{}}}{}",
-            p.batch, p.queries, p.elapsed_s, p.qps, p.p50_us, p.p99_us, p.retries, sep
-        )?;
-    }
-    writeln!(f, "]}}")?;
-    Ok(())
+    j.end_array();
+    j.end_object();
+    j.write_file(path)
 }
 
 #[cfg(test)]

@@ -29,7 +29,10 @@
 use llp_graph::generators::{erdos_renyi, rmat, RmatParams};
 use llp_graph::io::{read_binary_range, read_binary_slice, write_binary, IoError};
 use llp_graph::CsrGraph;
-use llp_runtime::ThreadPool;
+use llp_runtime::cli::{
+    self, no_leftovers, take_flag, take_list, take_opt, take_parsed, take_required, Error,
+};
+use llp_runtime::{available_threads, ThreadPool};
 use llp_serve::loadgen::{run_sweep, write_report, LoadgenConfig, ReportInputs, SweepPoint};
 use llp_serve::protocol::{decode_responses, encode_queries, read_frame, write_frame, Query, Response, MAX_PAYLOAD};
 use llp_serve::server::{run_server, ServerConfig};
@@ -42,97 +45,59 @@ use std::sync::Arc;
 
 fn main() -> ExitCode {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let Some(cmd) = args.first().cloned() else {
+    if args.is_empty() {
         eprintln!("{USAGE}");
         return ExitCode::from(2);
-    };
-    args.remove(0);
+    }
+    let cmd = args.remove(0);
     let result = match cmd.as_str() {
         "gen" => cmd_gen(&mut args),
         "serve" => cmd_serve(&mut args),
         "loadgen" => cmd_loadgen(&mut args),
         "bench" => cmd_bench(&mut args),
         "fuzz-ingest" => cmd_fuzz_ingest(&mut args),
-        other => Err(format!("unknown command `{other}`\n{USAGE}")),
+        other => Err(Error::Usage(format!("unknown command `{other}`\n{USAGE}"))),
     };
-    match result {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(msg) => {
-            eprintln!("llp-mst-serve {cmd}: {msg}");
-            ExitCode::FAILURE
-        }
-    }
+    cli::exit_code(&format!("llp-mst-serve {cmd}"), result)
 }
 
 const USAGE: &str = "usage: llp-mst-serve <gen|serve|loadgen|bench|fuzz-ingest> [options]
 run `llp-mst-serve <command>` with no options for that command's defaults";
 
-/// Removes `--name value` from `args`, if present.
-fn take_opt(args: &mut Vec<String>, name: &str) -> Result<Option<String>, String> {
-    let Some(i) = args.iter().position(|a| a == name) else {
-        return Ok(None);
-    };
-    if i + 1 >= args.len() {
-        return Err(format!("{name} needs a value"));
-    }
-    let v = args.remove(i + 1);
-    args.remove(i);
-    Ok(Some(v))
-}
+/// A deferred graph build, so argument errors surface before any work.
+type GraphLoader = Box<dyn FnOnce() -> Result<CsrGraph, String>>;
 
-/// Removes the bare flag `--name` from `args`; true if it was present.
-fn take_flag(args: &mut Vec<String>, name: &str) -> bool {
-    let Some(i) = args.iter().position(|a| a == name) else {
-        return false;
-    };
-    args.remove(i);
-    true
-}
-
-fn parse<T: std::str::FromStr>(name: &str, v: Option<String>, default: T) -> Result<T, String> {
-    match v {
-        None => Ok(default),
-        Some(s) => s.parse().map_err(|_| format!("bad value for {name}: {s}")),
-    }
-}
-
-/// Errors on leftover (unrecognized) arguments.
-fn no_leftovers(args: &[String]) -> Result<(), String> {
-    if args.is_empty() {
-        Ok(())
-    } else {
-        Err(format!("unrecognized arguments: {}", args.join(" ")))
-    }
-}
-
-fn default_threads() -> usize {
-    std::thread::available_parallelism().map_or(1, |n| n.get())
-}
-
-/// Builds the graph named by `--graph`, or generates one from
+/// Loads the graph named by `--graph`, or generates one from
 /// `--kind/--scale/--ef/--seed`.
-fn graph_from_args(args: &mut Vec<String>) -> Result<CsrGraph, String> {
+fn graph_from_args(args: &mut Vec<String>) -> Result<GraphLoader, Error> {
     if let Some(path) = take_opt(args, "--graph")? {
-        return load_graph(&PathBuf::from(&path)).map_err(|e| format!("{path}: {e}"));
+        return Ok(Box::new(move || {
+            load_graph(&PathBuf::from(&path)).map_err(|e| format!("{path}: {e}"))
+        }));
     }
     let kind = take_opt(args, "--kind")?.unwrap_or_else(|| "rmat".into());
-    let scale: u32 = parse("--scale", take_opt(args, "--scale")?, 16)?;
-    let ef: usize = parse("--ef", take_opt(args, "--ef")?, 16)?;
-    let seed: u64 = parse("--seed", take_opt(args, "--seed")?, 1)?;
+    let scale: u32 = take_parsed(args, "--scale")?.unwrap_or(16);
+    let ef: usize = take_parsed(args, "--ef")?.unwrap_or(16);
+    let seed: u64 = take_parsed(args, "--seed")?.unwrap_or(1);
     match kind.as_str() {
-        "rmat" => Ok(rmat(RmatParams::graph500(scale, ef, seed))),
-        "er" => {
+        "rmat" => Ok(Box::new(move || {
+            Ok(rmat(RmatParams::graph500(scale, ef, seed)))
+        })),
+        "er" => Ok(Box::new(move || {
             let n = 1usize << scale;
             Ok(erdos_renyi(n, n * ef, seed))
-        }
-        other => Err(format!("unknown --kind `{other}` (want rmat or er)")),
+        })),
+        other => Err(Error::Usage(format!(
+            "unknown --kind `{other}` (want rmat or er)"
+        ))),
     }
 }
 
-fn cmd_gen(args: &mut Vec<String>) -> Result<(), String> {
-    let out = take_opt(args, "--out")?.ok_or("--out is required")?;
-    let graph = graph_from_args(args)?;
+fn cmd_gen(args: &mut Vec<String>) -> Result<(), Error> {
+    let out = take_required(args, "--out")?;
+    let load = graph_from_args(args)?;
     no_leftovers(args)?;
+    let graph = load()?;
     // Atomic install: the reader side (a server starting against this
     // path) either sees the complete file or none at all.
     let mut w = llp_graph::io::BinaryFileWriter::create(std::path::Path::new(&out), graph.num_vertices())
@@ -150,23 +115,19 @@ fn cmd_gen(args: &mut Vec<String>) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_serve(args: &mut Vec<String>) -> Result<(), String> {
-    let graph_path = take_opt(args, "--graph")?.ok_or("--graph is required")?;
+fn cmd_serve(args: &mut Vec<String>) -> Result<(), Error> {
+    let graph_path = take_required(args, "--graph")?;
     let addr = take_opt(args, "--addr")?.unwrap_or_else(|| "127.0.0.1:0".into());
-    let threads: usize = parse("--threads", take_opt(args, "--threads")?, default_threads())?;
-    let workers: usize = parse("--workers", take_opt(args, "--workers")?, 2)?;
+    let threads: usize = take_parsed(args, "--threads")?.unwrap_or(available_threads());
+    let workers: usize = take_parsed(args, "--workers")?.unwrap_or(2);
     let port_file = take_opt(args, "--port-file")?;
     let dynamic = take_flag(args, "--dynamic");
-    let update_threads: usize =
-        parse("--update-threads", take_opt(args, "--update-threads")?, 2)?;
+    let update_threads: usize = take_parsed(args, "--update-threads")?.unwrap_or(2);
     // Robustness knobs; a timeout of 0 disables that deadline.
-    let read_timeout_ms: u64 =
-        parse("--read-timeout-ms", take_opt(args, "--read-timeout-ms")?, 30_000)?;
-    let write_timeout_ms: u64 =
-        parse("--write-timeout-ms", take_opt(args, "--write-timeout-ms")?, 30_000)?;
-    let queue_cap: usize = parse("--queue-cap", take_opt(args, "--queue-cap")?, 64)?;
-    let retry_after_ms: u32 =
-        parse("--retry-after-ms", take_opt(args, "--retry-after-ms")?, 100)?;
+    let read_timeout_ms: u64 = take_parsed(args, "--read-timeout-ms")?.unwrap_or(30_000);
+    let write_timeout_ms: u64 = take_parsed(args, "--write-timeout-ms")?.unwrap_or(30_000);
+    let queue_cap: usize = take_parsed(args, "--queue-cap")?.unwrap_or(64);
+    let retry_after_ms: u32 = take_parsed(args, "--retry-after-ms")?.unwrap_or(100);
     no_leftovers(args)?;
 
     let graph = load_graph(&PathBuf::from(&graph_path)).map_err(|e| format!("{graph_path}: {e}"))?;
@@ -245,20 +206,11 @@ fn query_info(addr: &str) -> Result<(u32, u32, f64), String> {
     }
 }
 
-fn loadgen_config(args: &mut Vec<String>) -> Result<LoadgenConfig, String> {
+fn loadgen_config(args: &mut Vec<String>) -> Result<LoadgenConfig, Error> {
     let mut cfg = LoadgenConfig::default();
-    if let Some(list) = take_opt(args, "--batches")? {
-        cfg.batches = list
-            .split(',')
-            .map(|s| s.trim().parse::<usize>())
-            .collect::<Result<_, _>>()
-            .map_err(|_| format!("bad --batches list: {list}"))?;
-        if cfg.batches.is_empty() {
-            return Err("--batches must name at least one batch size".into());
-        }
-    }
-    cfg.queries_per_point = parse("--queries", take_opt(args, "--queries")?, cfg.queries_per_point)?;
-    cfg.seed = parse("--seed", take_opt(args, "--seed")?, cfg.seed)?;
+    cfg.batches = take_list(args, "--batches")?.unwrap_or(cfg.batches);
+    cfg.queries_per_point = take_parsed(args, "--queries")?.unwrap_or(cfg.queries_per_point);
+    cfg.seed = take_parsed(args, "--seed")?.unwrap_or(cfg.seed);
     Ok(cfg)
 }
 
@@ -272,21 +224,26 @@ fn print_sweep(sweep: &[SweepPoint]) {
     }
 }
 
-fn cmd_loadgen(args: &mut Vec<String>) -> Result<(), String> {
-    let addr = take_opt(args, "--addr")?.ok_or("--addr is required")?;
+fn cmd_loadgen(args: &mut Vec<String>) -> Result<(), Error> {
+    let addr = take_required(args, "--addr")?;
     let graph_path = take_opt(args, "--graph")?;
     let verify = take_flag(args, "--verify");
     let shutdown = take_flag(args, "--shutdown");
     let report = take_opt(args, "--report")?;
-    let threads: usize = parse("--threads", take_opt(args, "--threads")?, default_threads())?;
+    let threads: usize = take_parsed(args, "--threads")?.unwrap_or(available_threads());
     let cfg = loadgen_config(args)?;
     no_leftovers(args)?;
+    if verify && graph_path.is_none() {
+        return Err(Error::Usage(
+            "--verify needs --graph to build the local index".into(),
+        ));
+    }
 
     let (n, trees, weight) = query_info(&addr)?;
     println!("server reports n={n} trees={trees} weight={weight:.6}");
 
-    let local = match (&graph_path, verify) {
-        (Some(path), _) => {
+    let local = match &graph_path {
+        Some(path) => {
             let graph = load_graph(&PathBuf::from(path)).map_err(|e| format!("{path}: {e}"))?;
             let pool = ThreadPool::new(threads);
             let svc = MsfService::build(&graph, &pool)
@@ -295,12 +252,12 @@ fn cmd_loadgen(args: &mut Vec<String>) -> Result<(), String> {
                 return Err(format!(
                     "--graph has n={}, but the server serves n={n}; wrong file?",
                     svc.n
-                ));
+                )
+                .into());
             }
             Some(svc)
         }
-        (None, true) => return Err("--verify needs --graph to build the local index".into()),
-        (None, false) => None,
+        None => None,
     };
 
     let sweep = run_sweep(&addr, n, &cfg, if verify { local.as_ref() } else { None })?;
@@ -330,15 +287,16 @@ fn cmd_loadgen(args: &mut Vec<String>) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_bench(args: &mut Vec<String>) -> Result<(), String> {
-    let threads: usize = parse("--threads", take_opt(args, "--threads")?, default_threads())?;
-    let workers: usize = parse("--workers", take_opt(args, "--workers")?, 2)?;
-    let min_qps: f64 = parse("--min-qps", take_opt(args, "--min-qps")?, 100_000.0)?;
+fn cmd_bench(args: &mut Vec<String>) -> Result<(), Error> {
+    let threads: usize = take_parsed(args, "--threads")?.unwrap_or(available_threads());
+    let workers: usize = take_parsed(args, "--workers")?.unwrap_or(2);
+    let min_qps: f64 = take_parsed(args, "--min-qps")?.unwrap_or(100_000.0);
     let report = take_opt(args, "--report")?.unwrap_or_else(|| "BENCH_serve.json".into());
     let no_verify = take_flag(args, "--no-verify");
     let cfg = loadgen_config(args)?;
-    let graph = graph_from_args(args)?;
+    let load = graph_from_args(args)?;
     no_leftovers(args)?;
+    let graph = load()?;
 
     let pool = ThreadPool::new(threads);
     let service = Arc::new(
@@ -387,7 +345,8 @@ fn cmd_bench(args: &mut Vec<String>) -> Result<(), String> {
     if best < min_qps {
         return Err(format!(
             "best throughput {best:.0} q/s is below the --min-qps gate of {min_qps:.0}"
-        ));
+        )
+        .into());
     }
     println!("gate: best {best:.0} q/s >= {min_qps:.0} q/s");
     Ok(())
@@ -398,8 +357,8 @@ fn cmd_bench(args: &mut Vec<String>) -> Result<(), String> {
 /// (never a panic, never a giant allocation) for format violations.
 /// `--fault-seeds N` additionally sweeps N seeds of injected file-I/O
 /// faults through the real file-backed read/write paths.
-fn cmd_fuzz_ingest(args: &mut Vec<String>) -> Result<(), String> {
-    let fault_seeds: u64 = parse("--fault-seeds", take_opt(args, "--fault-seeds")?, 0)?;
+fn cmd_fuzz_ingest(args: &mut Vec<String>) -> Result<(), Error> {
+    let fault_seeds: u64 = take_parsed(args, "--fault-seeds")?.unwrap_or(0);
     no_leftovers(args)?;
     let graph = erdos_renyi(64, 128, 7);
     let mut pristine = Vec::new();
@@ -508,7 +467,7 @@ fn cmd_fuzz_ingest(args: &mut Vec<String>) -> Result<(), String> {
     }
 
     if failures > 0 {
-        return Err(format!("{failures} corruptions were accepted"));
+        return Err(format!("{failures} corruptions were accepted").into());
     }
     println!(
         "fuzz-ingest: all {} corruptions rejected",

@@ -10,7 +10,7 @@
 //! ```
 //!
 //! Each epoch deletes `batch/2` random live edges (tree edges included,
-//! so the scoped contraction re-run triggers) and inserts `batch/2`
+//! so trees are cut and the Kruskal pass runs) and inserts `batch/2`
 //! edges — half re-insertions of previously deleted edges, half fresh
 //! random pairs — then applies the batch as one [`DynamicMsf`] epoch.
 //! Unless `--no-certify`, every epoch ends with the full certification
@@ -70,6 +70,8 @@ struct EpochRow {
     fast_rejects: usize,
     links: usize,
     dirty: usize,
+    rebuild_vertices: usize,
+    rebuild_edges: usize,
 }
 
 /// Percentile over a sorted slice (nearest-rank on the closed range).
@@ -161,6 +163,8 @@ fn run() -> Result<(), Error> {
             fast_rejects: report.fast_rejects,
             links: report.links,
             dirty: report.dirty_components,
+            rebuild_vertices: report.rebuild_vertices,
+            rebuild_edges: report.rebuild_edges,
         });
         classify_ms += report.classify_ms;
         rebuild_ms += report.rebuild_ms;
@@ -185,11 +189,20 @@ fn run() -> Result<(), Error> {
     let ms_p50 = percentile(&ms_sorted, 50);
     let ms_p99 = percentile(&ms_sorted, 99);
 
-    println!("epoch  updates      ms        eps  swaps rejects links dirty");
+    println!("epoch  updates      ms        eps  swaps rejects links dirty  rb_verts  rb_edges");
     for r in &rows {
         println!(
-            "{:>5} {:>8} {:>7.2} {:>10.0} {:>6} {:>7} {:>5} {:>5}",
-            r.epoch, r.updates, r.ms, r.eps, r.fast_swaps, r.fast_rejects, r.links, r.dirty
+            "{:>5} {:>8} {:>7.2} {:>10.0} {:>6} {:>7} {:>5} {:>5} {:>9} {:>9}",
+            r.epoch,
+            r.updates,
+            r.ms,
+            r.eps,
+            r.fast_swaps,
+            r.fast_rejects,
+            r.links,
+            r.dirty,
+            r.rebuild_vertices,
+            r.rebuild_edges
         );
     }
     println!(
@@ -243,6 +256,8 @@ fn run() -> Result<(), Error> {
         j.key("fast_rejects").u64(r.fast_rejects as u64);
         j.key("links").u64(r.links as u64);
         j.key("dirty_components").u64(r.dirty as u64);
+        j.key("rebuild_vertices").u64(r.rebuild_vertices as u64);
+        j.key("rebuild_edges").u64(r.rebuild_edges as u64);
         j.end_object();
     }
     j.end_array();

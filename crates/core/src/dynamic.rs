@@ -7,35 +7,40 @@
 //! starting from the bottom: a *batch of updates* re-enters the lattice
 //! from a warm start — the previous epoch's certified forest — and only
 //! the state the batch invalidates is recomputed. [`DynamicMsf`] realises
-//! that as an epoch loop over the machinery earlier PRs built:
+//! that as an epoch loop whose work follows the trees a batch touches, not
+//! their edges.
 //!
-//! * **Insertions** resolve via the **cycle property against the
-//!   [`PathMaxIndex`]** — the certifier's query becomes the update rule.
-//!   An inserted edge `e = (u, v, w)` whose endpoints share a tree enters
-//!   the forest iff its key beats `path_max(u, v)`; when it wins it
-//!   *evicts* exactly that bottleneck edge (the classic exchange
-//!   argument, exact for a single insert per tree). Inserts that lose
-//!   stay in the graph as non-tree edges. Classification of the whole
-//!   batch is a parallel read-only sweep over the frozen epoch index
-//!   (chaos-instrumented chunk claims, like every other sweep in the
-//!   workspace).
-//! * **Deletions** (and every insert the fast path cannot decide exactly
-//!   — trees receiving several inserts, inserts linking two trees, trees
-//!   that lost a tree edge) fall back to a **scoped re-run of the
-//!   flat-memory contraction engine** over only the *dirty* components:
-//!   the same decompose-locally-then-recombine shape as Sanders &
-//!   Schimek's Borůvka-filter, but scoped by the previous epoch's
-//!   component map instead of by shard. Because edges never cross
-//!   component boundaries (cross-tree inserts dirty both trees), the MSF
-//!   of the dirty region unioned with the untouched trees is the MSF of
-//!   the whole graph — and because the dirty vertices are relabelled
-//!   *monotonically*, `EdgeKey` tie-breaks are preserved and the scoped
-//!   run returns exactly the canonical forest restriction.
-//! * **Certification**: every epoch snapshot is re-certified with the
-//!   oracle-free sweep ([`certify_against`]) against the freshly rebuilt
-//!   index, so a served epoch is never weaker than the from-scratch
-//!   pipeline. The lattice never retracts: a certified epoch is a fixed
-//!   point, and the next batch advances from it.
+//! **Candidate-set lemma.** Let `F` be the certified MSF of `G`, `D` the
+//! deleted edges, `I` the inserted ones and `G' = G − D + I`. Then
+//! `MSF(G') = MSF(C)` with `C = (F − D) ∪ I ∪ X`, where `X` holds the
+//! non-tree edges of `G − D` whose endpoints lie in different components
+//! ("fragments") of `F − D`. Every other non-tree edge still closes its
+//! `F`-cycle inside `G'` and is the heaviest edge on it, so the cycle
+//! property drops it — the same composition fact Sanders & Schimek's
+//! Borůvka-filter rests on. An epoch therefore runs:
+//!
+//! * **Deletes.** An arc is a tree edge iff its key equals the frozen
+//!   [`PathMaxIndex`]'s `path_max(u, v)`; deleting one cuts its tree.
+//! * **Fragments.** Only trees that lost a tree edge are split into the
+//!   fragments of `F − D`. `X` is found by scanning the arcs of every
+//!   fragment except the one with the most arcs in its tree — the smaller
+//!   sides, as in Holm–de Lichtenberg–Thorup.
+//! * **Inserts.** Classified against the frozen index in a parallel
+//!   read-only sweep (chaos-instrumented chunk claims, like every other
+//!   sweep in the workspace). An insert whose endpoints share a fragment
+//!   and whose key loses to `path_max` closes a cycle in `G'` on which it
+//!   is heaviest: it is dropped exactly (a *fast reject*). Links between
+//!   trees, inserts that beat `path_max`, and inserts straddling a cut
+//!   join `C`.
+//! * **Kruskal.** One pass by [`llp_graph::EdgeKey`] over `C`, restricted
+//!   to the touched trees — those that lost a tree edge or gained a
+//!   candidate. Every other tree is kept verbatim.
+//! * **Certification**: every epoch ends with the full oracle-free sweep
+//!   ([`certify_against`]) of every live edge against the rebuilt index,
+//!   read in place from the adjacency lists, so a served epoch is never
+//!   weaker than the from-scratch pipeline. The lattice never retracts: a
+//!   certified epoch is a fixed point, and the next batch advances from
+//!   it.
 //!
 //! Failure posture: inputs are validated (range, self-loops, non-finite
 //! weights) *before* any state is touched, so user errors are clean
@@ -45,23 +50,28 @@
 //! the structure must then be discarded and rebuilt — it never serves an
 //! uncertified epoch.
 
-use crate::certify::certify_against;
-use crate::index::PathMaxIndex;
+use crate::certify::{certify_against, NeighborSlices};
+use crate::index::{key_bits, PathMaxIndex};
 use crate::llp_boruvka::llp_boruvka_from_edges;
 use crate::result::{ForestOverflow, MstResult};
 use crate::stats::AlgoStats;
+use crate::union_find::UnionFind;
 use crate::verify::VerifyError;
-use llp_graph::{CsrGraph, Edge, EdgeKey, VertexId};
+use llp_graph::weight::Weight;
+use llp_graph::{CsrGraph, Edge, VertexId};
+use llp_runtime::sort::par_sort_by_key;
 use llp_runtime::sync::Mutex;
 use llp_runtime::{parallel_for_chunks, telemetry, ParallelForConfig, ThreadPool};
-use std::collections::HashMap;
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use std::time::Instant;
 
 /// Below this many fresh inserts the classification sweep runs inline —
 /// the parallel fan-out costs more than the queries.
 const PAR_CLASSIFY_THRESHOLD: usize = 64;
+
+/// Fragment label of a vertex outside every cut tree.
+const NO_FRAGMENT: u32 = u32::MAX;
 
 /// A rejected or failed dynamic update.
 #[derive(Debug, Clone, PartialEq)]
@@ -73,7 +83,7 @@ pub enum DynamicError {
     /// An inserted edge carried a NaN or infinite weight.
     NonFiniteWeight(Edge),
     /// The epoch assembled more tree edges than vertices — an internal
-    /// invariant violation (the batched exchange produced a non-forest).
+    /// invariant violation (the Kruskal pass produced a non-forest).
     Overflow(ForestOverflow),
     /// The epoch snapshot failed certification — an internal invariant
     /// violation; the structure must be rebuilt from scratch.
@@ -121,25 +131,33 @@ pub struct EpochReport {
     pub deletes_applied: usize,
     /// Deletes naming an edge not present (no-ops).
     pub deletes_missing: usize,
-    /// Inserts that entered the forest by evicting their bottleneck edge
-    /// (the cycle-property fast path).
+    /// Inserts whose endpoints share a fragment and whose key beats the
+    /// forest path maximum between them. That bottleneck edge is certainly
+    /// evicted; the insert joins the Kruskal pass, which settles the
+    /// forest.
     pub fast_swaps: usize,
-    /// Inserts settled as non-tree edges by one path-max query.
+    /// Inserts whose endpoints share a fragment and whose key loses to the
+    /// forest path maximum: dropped by one path-max query, never handed to
+    /// the Kruskal pass.
     pub fast_rejects: usize,
-    /// Inserts joining two previously separate trees (resolved in the
-    /// scoped re-run).
+    /// Inserts joining two previously separate trees (candidates of the
+    /// Kruskal pass).
     pub links: usize,
-    /// Trees of the previous epoch that went through the scoped re-run.
+    /// Trees of the previous epoch that went through the Kruskal pass:
+    /// those that lost a tree edge or gained a candidate insert.
     pub dirty_components: usize,
-    /// Vertices handed to the scoped contraction re-run.
+    /// Vertices of the trees that went through the Kruskal pass.
     pub rebuild_vertices: usize,
-    /// Edges handed to the scoped contraction re-run.
+    /// Edges handed to the Kruskal pass: the surviving tree edges of the
+    /// dirty trees, the non-tree edges crossing their fragments, and the
+    /// candidate inserts.
     pub rebuild_edges: usize,
     /// Whether the forest changed (and the index was rebuilt).
     pub tree_changed: bool,
     /// Classification sweep, milliseconds.
     pub classify_ms: f64,
-    /// Scoped contraction re-run, milliseconds.
+    /// Fragment labelling, crossing-edge scan and Kruskal pass,
+    /// milliseconds.
     pub rebuild_ms: f64,
     /// Index rebuild, milliseconds.
     pub index_ms: f64,
@@ -155,19 +173,91 @@ impl EpochReport {
     }
 }
 
-/// How a fresh insert relates to the frozen epoch index.
+/// How a fresh insert relates to the frozen epoch index and the fragments
+/// of the cut trees.
 #[derive(Clone, Copy)]
 enum InsertClass {
-    /// Endpoints in different trees: the insert merges them (scoped
-    /// re-run decides the resulting forest).
-    Link { cu: u32, cv: u32 },
-    /// Endpoints share a tree: the cycle property decides, with the
-    /// bottleneck already in hand for the eviction.
-    Intra {
-        comp: u32,
-        beats: bool,
-        bottleneck: EdgeKey,
-    },
+    /// Endpoints in different trees: a candidate that merges them.
+    Link,
+    /// Endpoints in one tree but different fragments: a candidate that may
+    /// reconnect them.
+    Straddle,
+    /// Endpoints in one fragment, key below the path maximum: a candidate
+    /// that evicts that maximum.
+    Beats,
+    /// Endpoints in one fragment, key above the path maximum: dropped.
+    Loses,
+}
+
+/// Undirected adjacency lists, both directions, kept as per-vertex target
+/// and weight vectors so the certifier sweeps them in place
+/// ([`NeighborSlices`]).
+#[derive(Debug, Clone, Default)]
+pub struct Adjacency {
+    targets: Vec<Vec<VertexId>>,
+    weights: Vec<Vec<Weight>>,
+}
+
+impl Adjacency {
+    /// The adjacency of a simple graph over `n` vertices: each edge goes
+    /// into both endpoints' lists, in edge-list order. Parallel edges and
+    /// self-loops are the caller's to remove first.
+    pub fn from_edges(n: usize, edges: &[Edge]) -> Adjacency {
+        let mut degree = vec![0usize; n];
+        for e in edges {
+            degree[e.u as usize] += 1;
+            degree[e.v as usize] += 1;
+        }
+        let mut adj = Adjacency {
+            targets: degree.iter().map(|&d| Vec::with_capacity(d)).collect(),
+            weights: degree.iter().map(|&d| Vec::with_capacity(d)).collect(),
+        };
+        for e in edges {
+            adj.insert(e.u, e.v, e.w);
+        }
+        adj
+    }
+
+    fn degree(&self, u: VertexId) -> usize {
+        self.targets[u as usize].len()
+    }
+
+    fn contains(&self, u: VertexId, v: VertexId) -> bool {
+        self.targets[u as usize].contains(&v)
+    }
+
+    fn insert(&mut self, u: VertexId, v: VertexId, w: Weight) {
+        self.targets[u as usize].push(v);
+        self.weights[u as usize].push(w);
+        self.targets[v as usize].push(u);
+        self.weights[v as usize].push(w);
+    }
+
+    /// Removes the arc `u → v` and returns its weight.
+    fn remove_arc(&mut self, u: VertexId, v: VertexId) -> Option<Weight> {
+        let i = self.targets[u as usize].iter().position(|&x| x == v)?;
+        self.targets[u as usize].swap_remove(i);
+        Some(self.weights[u as usize].swap_remove(i))
+    }
+
+    /// Removes the edge `{u, v}` from both lists; `None` if absent.
+    fn remove(&mut self, u: VertexId, v: VertexId) -> Option<Weight> {
+        let w = self.remove_arc(u, v)?;
+        self.remove_arc(v, u).expect("mirror arc present");
+        Some(w)
+    }
+}
+
+impl NeighborSlices for Adjacency {
+    #[inline]
+    fn num_vertices(&self) -> usize {
+        self.targets.len()
+    }
+
+    #[inline]
+    fn neighbor_slices(&self, u: VertexId) -> (&[VertexId], &[Weight]) {
+        (&self.targets[u as usize], &self.weights[u as usize])
+    }
 }
 
 /// An epoch-based fully dynamic minimum spanning forest.
@@ -179,16 +269,20 @@ enum InsertClass {
 /// epoch is being applied.
 pub struct DynamicMsf {
     n: usize,
-    /// Undirected adjacency, both directions. The graph is simple:
-    /// parallel edges are deduplicated on construction (smallest key
-    /// wins) and duplicate inserts are no-ops.
-    adj: Vec<Vec<(VertexId, f64)>>,
+    /// The graph. It is simple: parallel edges are deduplicated on
+    /// construction (smallest key wins) and duplicate inserts are no-ops.
+    adj: Adjacency,
     /// Current undirected edge count.
     m: usize,
-    /// The certified forest of the latest epoch.
+    /// The certified forest of the latest epoch, in Kruskal (key) order.
     msf: MstResult,
     /// Path-max index over `msf`, shared with snapshot readers.
     index: Arc<PathMaxIndex>,
+    /// The previous epoch's index. Once no reader holds it, the next
+    /// index is built into its arrays.
+    spare: Option<Arc<PathMaxIndex>>,
+    /// The Kruskal pass's input buffer, kept between epochs.
+    pass: Vec<Edge>,
     /// Batches applied so far.
     epoch: u64,
     /// Whether each epoch ends with a full certification sweep
@@ -207,50 +301,31 @@ impl DynamicMsf {
     /// Builds the initial epoch from a raw undirected edge list.
     ///
     /// Validates endpoints, self-loops and weight finiteness; parallel
-    /// edges are deduplicated keeping the smallest [`EdgeKey`] (the only
-    /// one the canonical MSF can ever use).
+    /// edges are deduplicated keeping the smallest [`llp_graph::EdgeKey`]
+    /// (the only one the canonical MSF can ever use).
     pub fn from_edges(
         n: usize,
-        edges: Vec<Edge>,
+        mut edges: Vec<Edge>,
         pool: &ThreadPool,
     ) -> Result<DynamicMsf, DynamicError> {
         let _s = telemetry::span("dynamic-build");
-        let mut adj: Vec<Vec<(VertexId, f64)>> = vec![Vec::new(); n];
-        let mut m = 0usize;
-        let mut kept: Vec<Edge> = Vec::with_capacity(edges.len());
-        for e in edges {
-            validate_insert(&e, n)?;
+        for e in &mut edges {
+            validate_insert(e, n)?;
             let (lo, hi) = e.canonical_endpoints();
-            match adj[lo as usize].iter().position(|&(x, _)| x == hi) {
-                Some(i) => {
-                    // Parallel edge: keep the smaller key.
-                    let old = adj[lo as usize][i].1;
-                    if e.key() < EdgeKey::new(old, lo, hi) {
-                        adj[lo as usize][i].1 = e.w;
-                        let j = adj[hi as usize]
-                            .iter()
-                            .position(|&(x, _)| x == lo)
-                            .expect("mirror arc");
-                        adj[hi as usize][j].1 = e.w;
-                    }
-                }
-                None => {
-                    adj[lo as usize].push((hi, e.w));
-                    adj[hi as usize].push((lo, e.w));
-                    m += 1;
-                }
-            }
+            *e = Edge::new(lo, hi, e.w);
         }
-        // Emit each undirected edge once, post-dedup.
-        for (u, list) in adj.iter().enumerate() {
-            for &(v, w) in list {
-                if (u as u32) < v {
-                    kept.push(Edge::new(u as u32, v, w));
-                }
-            }
-        }
+        // One sort by (lo, hi, key) puts each endpoint pair's smallest key
+        // first; keep that record. The top 64 bits of `key_bits` order the
+        // weights as `EdgeKey` does.
+        par_sort_by_key(pool, &mut edges, |e| {
+            (u128::from(e.u) << 96) | (u128::from(e.v) << 64) | (key_bits(e.w, e.u, e.v) >> 64)
+        });
+        edges.dedup_by_key(|e| (e.u, e.v));
 
-        let msf = llp_boruvka_from_edges(n, kept, pool);
+        let adj = Adjacency::from_edges(n, &edges);
+        let m = edges.len();
+        let mut msf = llp_boruvka_from_edges(n, edges, pool);
+        msf.edges.sort_unstable_by_key(|e| key_bits(e.w, e.u, e.v));
         let index = Arc::new(PathMaxIndex::build_par(n, &msf, pool)?);
         let this = DynamicMsf {
             n,
@@ -258,6 +333,8 @@ impl DynamicMsf {
             m,
             msf,
             index,
+            spare: None,
+            pass: Vec::new(),
             epoch: 0,
             certify_epochs: true,
         };
@@ -301,10 +378,11 @@ impl DynamicMsf {
     /// The current undirected edge set (each edge once, `u < v`).
     pub fn current_edges(&self) -> Vec<Edge> {
         let mut out = Vec::with_capacity(self.m);
-        for (u, list) in self.adj.iter().enumerate() {
-            for &(v, w) in list {
-                if (u as u32) < v {
-                    out.push(Edge::new(u as u32, v, w));
+        for u in 0..self.n as VertexId {
+            let (targets, weights) = self.adj.neighbor_slices(u);
+            for (&v, &w) in targets.iter().zip(weights) {
+                if u < v {
+                    out.push(Edge::new(u, v, w));
                 }
             }
         }
@@ -339,38 +417,50 @@ impl DynamicMsf {
             epoch: self.epoch + 1,
             ..EpochReport::default()
         };
-        let num_components = self.index.num_components();
-        let mut dirty = vec![false; num_components];
+        // The previous epoch's index stays frozen for the whole batch.
+        let index = Arc::clone(&self.index);
+        let index = &*index;
 
-        // ---- Deletes: drop arcs; a lost *tree* edge dirties its tree.
-        let tree: HashSet<(u32, u32)> = self
-            .msf
-            .edges
-            .iter()
-            .map(Edge::canonical_endpoints)
-            .collect();
+        // ---- Deletes: drop arcs; a lost tree edge cuts its tree.
+        let mut cut: HashSet<(VertexId, VertexId)> = HashSet::new();
         for &(u, v) in deletes {
             let (lo, hi) = if u <= v { (u, v) } else { (v, u) };
-            if lo == hi || self.remove_edge(lo, hi).is_none() {
+            let removed = if lo == hi { None } else { self.adj.remove(lo, hi) };
+            let Some(w) = removed else {
                 report.deletes_missing += 1;
                 continue;
-            }
+            };
+            self.m -= 1;
             report.deletes_applied += 1;
-            if tree.contains(&(lo, hi)) {
-                dirty[self.index.component(lo) as usize] = true;
+            if index.is_tree_edge(lo, hi, w) {
+                cut.insert((lo, hi));
             }
         }
+
+        // ---- Fragments of the cut trees, and the edges crossing them.
+        // Before the inserts go in, so the scan sees only edges of G − D.
+        let t = Instant::now();
+        let mut touched = vec![false; index.num_components()];
+        for &(lo, _) in &cut {
+            touched[index.component(lo) as usize] = true;
+        }
+        let (fragment, crossing) = if cut.is_empty() {
+            (Vec::new(), Vec::new())
+        } else {
+            let _s = telemetry::span("dynamic-fragments");
+            split_cut_trees(&self.adj, &self.msf, index, &cut, &touched)
+        };
+        let mut rebuild_ms = t.elapsed().as_secs_f64() * 1e3;
 
         // ---- Inserts, phase 1: mutate the graph, keeping the fresh ones.
         let mut fresh: Vec<Edge> = Vec::with_capacity(inserts.len());
         for e in inserts {
             let (lo, hi) = e.canonical_endpoints();
-            if self.adj[lo as usize].iter().any(|&(x, _)| x == hi) {
+            if self.adj.contains(lo, hi) {
                 report.inserts_duplicate += 1;
                 continue;
             }
-            self.adj[lo as usize].push((hi, e.w));
-            self.adj[hi as usize].push((lo, e.w));
+            self.adj.insert(lo, hi, e.w);
             self.m += 1;
             report.inserts_applied += 1;
             fresh.push(Edge::new(lo, hi, e.w));
@@ -382,9 +472,9 @@ impl DynamicMsf {
         let t = Instant::now();
         let classes: Vec<InsertClass> = {
             let _s = telemetry::span("dynamic-classify");
-            let index = &*self.index;
+            let fragment = &fragment[..];
             if fresh.len() < PAR_CLASSIFY_THRESHOLD || pool.threads() <= 1 {
-                fresh.iter().map(|e| classify_one(e, index)).collect()
+                fresh.iter().map(|e| classify_one(e, index, fragment)).collect()
             } else {
                 let acc: Mutex<Vec<(usize, Vec<InsertClass>)>> = Mutex::new(Vec::new());
                 parallel_for_chunks(
@@ -393,8 +483,9 @@ impl DynamicMsf {
                     ParallelForConfig::default(),
                     |chunk| {
                         let start = chunk.start;
-                        let local: Vec<InsertClass> =
-                            chunk.map(|i| classify_one(&fresh[i], index)).collect();
+                        let local: Vec<InsertClass> = chunk
+                            .map(|i| classify_one(&fresh[i], index, fragment))
+                            .collect();
                         acc.lock().push((start, local));
                     },
                 );
@@ -411,122 +502,78 @@ impl DynamicMsf {
         };
         report.classify_ms = t.elapsed().as_secs_f64() * 1e3;
 
-        // ---- Inserts, phase 3: group. Cross-tree links and trees with
-        // more than one intra-tree insert go to the scoped re-run;
-        // single-insert clean trees take the exact exchange fast path.
-        for c in &classes {
-            if let InsertClass::Link { cu, cv } = *c {
-                dirty[cu as usize] = true;
-                dirty[cv as usize] = true;
-                report.links += 1;
-            }
-        }
-        let mut per_comp: HashMap<u32, Vec<usize>> = HashMap::new();
-        for (i, c) in classes.iter().enumerate() {
-            if let InsertClass::Intra { comp, .. } = *c {
-                per_comp.entry(comp).or_default().push(i);
-            }
-        }
-        let mut winners: Vec<Edge> = Vec::new();
-        let mut evicted: HashSet<(u32, u32)> = HashSet::new();
-        for (&comp, idxs) in &per_comp {
-            if dirty[comp as usize] {
-                continue; // the re-run sees these edges in the graph
-            }
-            if idxs.len() > 1 {
-                // Two inserts into one tree interact (the second exchange
-                // depends on the first); defer both to the re-run.
-                dirty[comp as usize] = true;
-                continue;
-            }
-            let InsertClass::Intra {
-                beats, bottleneck, ..
-            } = classes[idxs[0]]
-            else {
-                unreachable!("per_comp holds only Intra classes");
-            };
-            if beats {
-                evicted.insert((bottleneck.lo(), bottleneck.hi()));
-                winners.push(fresh[idxs[0]]);
-                report.fast_swaps += 1;
-            } else {
-                report.fast_rejects += 1;
-            }
-        }
-
-        // ---- Scoped re-run over the dirty trees.
+        // ---- The candidate set C and the trees it touches.
         let t = Instant::now();
-        let dirty_any = dirty.iter().any(|&d| d);
-        report.dirty_components = dirty.iter().filter(|&&d| d).count();
-        let mut rebuilt: Vec<Edge> = Vec::new();
-        if dirty_any {
-            let _s = telemetry::span("dynamic-rebuild");
-            // Ascending scan ⇒ the old→local relabel is monotone, so
-            // every EdgeKey comparison (weight, then endpoints) orders
-            // local edges exactly as the original ids would — the scoped
-            // run returns the canonical forest restriction verbatim.
-            let mut local_of: Vec<u32> = vec![u32::MAX; self.n];
-            let mut verts: Vec<u32> = Vec::new();
-            for v in 0..self.n {
-                if dirty[self.index.component(v as u32) as usize] {
-                    local_of[v] = verts.len() as u32;
-                    verts.push(v as u32);
-                }
-            }
-            let mut local_edges: Vec<Edge> = Vec::new();
-            for &v in &verts {
-                for &(w, wt) in &self.adj[v as usize] {
-                    if v < w {
-                        debug_assert_ne!(
-                            local_of[w as usize],
-                            u32::MAX,
-                            "edge ({v}, {w}) escapes the dirty region"
-                        );
-                        local_edges.push(Edge::new(local_of[v as usize], local_of[w as usize], wt));
-                    }
-                }
-            }
-            report.rebuild_vertices = verts.len();
-            report.rebuild_edges = local_edges.len();
-            let sub = llp_boruvka_from_edges(verts.len(), local_edges, pool);
-            rebuilt.extend(
-                sub.edges
-                    .iter()
-                    .map(|e| Edge::new(verts[e.u as usize], verts[e.v as usize], e.w)),
-            );
-        }
-        report.rebuild_ms = t.elapsed().as_secs_f64() * 1e3;
-
-        // ---- Assemble the next forest: untouched trees' edges, minus
-        // fast-path evictions, plus fast-path winners and the re-run.
-        report.tree_changed = dirty_any || report.fast_swaps > 0;
-        let graph_changed = report.inserts_applied > 0 || report.deletes_applied > 0;
-        if report.tree_changed {
-            let mut new_edges: Vec<Edge> =
-                Vec::with_capacity(self.msf.edges.len() + winners.len() + rebuilt.len());
-            for e in &self.msf.edges {
-                if dirty[self.index.component(e.u) as usize]
-                    || evicted.contains(&e.canonical_endpoints())
-                {
+        let mut candidates = std::mem::take(&mut self.pass);
+        candidates.clear();
+        candidates.extend(crossing);
+        for (e, class) in fresh.iter().zip(&classes) {
+            match class {
+                InsertClass::Loses => {
+                    report.fast_rejects += 1;
                     continue;
                 }
-                new_edges.push(*e);
+                InsertClass::Beats => report.fast_swaps += 1,
+                InsertClass::Link => report.links += 1,
+                InsertClass::Straddle => {}
             }
-            new_edges.extend(winners);
-            new_edges.extend(rebuilt);
-            let msf = MstResult::try_from_edges(self.n, new_edges, AlgoStats::default())
-                .map_err(DynamicError::Overflow)?;
+            touched[index.component(e.u) as usize] = true;
+            touched[index.component(e.v) as usize] = true;
+            candidates.push(*e);
+        }
+        report.dirty_components = touched.iter().filter(|&&t| t).count();
+        report.tree_changed = report.dirty_components > 0;
+
+        // ---- One Kruskal pass over C inside the touched trees; every
+        // other tree is kept verbatim. The forest stays in key order, so
+        // the index build replays it without sorting, and the two edge
+        // buffers swap roles every epoch instead of being reallocated.
+        if report.tree_changed {
+            let forest = {
+                let _s = telemetry::span("dynamic-rebuild");
+                let mut kept = std::mem::take(&mut self.msf.edges);
+                let mut touched_edges = 0;
+                kept.retain(|e| {
+                    if !touched[index.component(e.u) as usize] {
+                        return true;
+                    }
+                    touched_edges += 1;
+                    if !cut.contains(&e.canonical_endpoints()) {
+                        candidates.push(*e);
+                    }
+                    false
+                });
+                // A tree with k edges has k + 1 vertices.
+                report.rebuild_vertices = touched_edges + report.dirty_components;
+                report.rebuild_edges = candidates.len();
+                let key = |e: &Edge| key_bits(e.w, e.u, e.v);
+                candidates.sort_unstable_by_key(key);
+                let mut uf = UnionFind::new(self.n);
+                candidates.retain(|e| uf.union(e.u, e.v));
+                candidates.extend_from_slice(&kept);
+                candidates.sort_unstable_by_key(key);
+                kept.clear();
+                self.pass = kept;
+                MstResult::try_from_edges(self.n, candidates, AlgoStats::default())
+                    .map_err(DynamicError::Overflow)?
+            };
+            rebuild_ms += t.elapsed().as_secs_f64() * 1e3;
 
             let t = Instant::now();
             let index = {
                 let _s = telemetry::span("dynamic-index");
-                Arc::new(PathMaxIndex::build_par(self.n, &msf, pool)?)
+                let spare = self.spare.take().and_then(|a| Arc::try_unwrap(a).ok());
+                Arc::new(PathMaxIndex::rebuild_par(self.n, &forest, pool, spare)?)
             };
             report.index_ms = t.elapsed().as_secs_f64() * 1e3;
-            self.msf = msf;
-            self.index = index;
+            self.msf = forest;
+            self.spare = Some(std::mem::replace(&mut self.index, index));
+        } else {
+            self.pass = candidates;
         }
+        report.rebuild_ms = rebuild_ms;
 
+        let graph_changed = report.inserts_applied > 0 || report.deletes_applied > 0;
         if self.certify_epochs && (report.tree_changed || graph_changed) {
             let t = Instant::now();
             self.certify_now(pool)?;
@@ -542,44 +589,112 @@ impl DynamicMsf {
         Ok(report)
     }
 
-    /// Full certification sweep of the current forest against the current
-    /// graph, through the current index.
+    /// Full certification sweep of the current forest against every live
+    /// edge, read in place from the adjacency lists, through the current
+    /// index.
     fn certify_now(&self, pool: &ThreadPool) -> Result<(), DynamicError> {
         let _s = telemetry::span("dynamic-certify");
-        let edges = self.current_edges();
-        let graph = CsrGraph::from_edges_parallel(pool, self.n, &edges);
-        certify_against(&graph, &self.msf, &self.index, Some(pool))?;
+        certify_against(&self.adj, &self.msf, &self.index, Some(pool))?;
         Ok(())
-    }
-
-    /// Removes `(lo, hi)` from both adjacency lists; `None` if absent.
-    fn remove_edge(&mut self, lo: u32, hi: u32) -> Option<f64> {
-        let i = self.adj[lo as usize].iter().position(|&(x, _)| x == hi)?;
-        let (_, w) = self.adj[lo as usize].swap_remove(i);
-        let j = self.adj[hi as usize]
-            .iter()
-            .position(|&(x, _)| x == lo)
-            .expect("mirror arc present");
-        self.adj[hi as usize].swap_remove(j);
-        self.m -= 1;
-        Some(w)
     }
 }
 
-/// Classifies one fresh insert against the frozen epoch index.
-fn classify_one(e: &Edge, index: &PathMaxIndex) -> InsertClass {
-    let cu = index.component(e.u);
-    let cv = index.component(e.v);
-    if cu != cv {
-        return InsertClass::Link { cu, cv };
+/// Splits every tree that lost a tree edge (`cut_tree`, indexed by
+/// component) into the fragments of `F − D` and collects `X`, the edges
+/// of `G − D` between different fragments.
+///
+/// Returns the fragment label of every vertex (a union-find root;
+/// [`NO_FRAGMENT`] outside the cut trees) and `X`. Each cut tree's
+/// fragment with the most arcs is never scanned: every crossing edge has
+/// an endpoint in some other fragment of its tree, since edges of `G`
+/// never leave a tree of `F`.
+fn split_cut_trees(
+    adj: &Adjacency,
+    msf: &MstResult,
+    index: &PathMaxIndex,
+    cut: &HashSet<(VertexId, VertexId)>,
+    cut_tree: &[bool],
+) -> (Vec<u32>, Vec<Edge>) {
+    let n = adj.num_vertices();
+    let mut fragment = vec![NO_FRAGMENT; n];
+    let mut uf = UnionFind::new(n);
+    let mut verts: Vec<VertexId> = Vec::new();
+    for e in &msf.edges {
+        if !cut_tree[index.component(e.u) as usize] {
+            continue;
+        }
+        for x in [e.u, e.v] {
+            if fragment[x as usize] == NO_FRAGMENT {
+                fragment[x as usize] = 0;
+                verts.push(x);
+            }
+        }
+        if !cut.contains(&e.canonical_endpoints()) {
+            uf.union(e.u, e.v);
+        }
     }
+
+    // Label, and count each fragment's arcs at its root.
+    let mut arcs: HashMap<u32, usize> = HashMap::new();
+    for &v in &verts {
+        let root = uf.find(v);
+        fragment[v as usize] = root;
+        *arcs.entry(root).or_default() += adj.degree(v);
+    }
+    let mut largest: HashMap<u32, u32> = HashMap::new();
+    for &v in &verts {
+        let root = fragment[v as usize];
+        largest
+            .entry(index.component(v))
+            .and_modify(|best| {
+                let (a, b) = (arcs[&root], arcs[best]);
+                if a > b || (a == b && root < *best) {
+                    *best = root;
+                }
+            })
+            .or_insert(root);
+    }
+
+    let mut crossing = Vec::new();
+    for &v in &verts {
+        let root = fragment[v as usize];
+        let big = largest[&index.component(v)];
+        if root == big {
+            continue;
+        }
+        let (targets, weights) = adj.neighbor_slices(v);
+        for (&w, &wt) in targets.iter().zip(weights) {
+            let other = fragment[w as usize];
+            debug_assert_ne!(other, NO_FRAGMENT, "edge ({v}, {w}) leaves its tree");
+            // An edge between two scanned fragments is seen from both
+            // sides; keep it once.
+            if other != root && (other == big || v < w) {
+                crossing.push(Edge::new(v.min(w), v.max(w), wt));
+            }
+        }
+    }
+    (fragment, crossing)
+}
+
+/// Classifies one fresh insert against the frozen epoch index and the
+/// fragment labels of the cut trees (empty when no tree was cut).
+fn classify_one(e: &Edge, index: &PathMaxIndex, fragment: &[u32]) -> InsertClass {
+    if !index.connected(e.u, e.v) {
+        return InsertClass::Link;
+    }
+    let of = |v: VertexId| fragment.get(v as usize).copied().unwrap_or(NO_FRAGMENT);
+    if of(e.u) != of(e.v) {
+        return InsertClass::Straddle;
+    }
+    // One fragment: the forest path between the endpoints survived the
+    // deletes, so its maximum decides by the cycle property.
     let bottleneck = index
         .path_max(e.u, e.v)
         .expect("distinct vertices in one tree have a path");
-    InsertClass::Intra {
-        comp: cu,
-        beats: e.key() < bottleneck,
-        bottleneck,
+    if e.key() < bottleneck {
+        InsertClass::Beats
+    } else {
+        InsertClass::Loses
     }
 }
 

@@ -122,6 +122,17 @@ pub struct PathMaxIndex {
     pub(crate) pass_above: f64,
 }
 
+/// `v` holding `n` copies of `x`, in `v`'s allocation when it has one;
+/// otherwise a fresh `vec!`, which the allocator can hand out zeroed.
+fn refill<T: Clone>(mut v: Vec<T>, n: usize, x: T) -> Vec<T> {
+    if v.capacity() == 0 {
+        return vec![x; n];
+    }
+    v.clear();
+    v.resize(n, x);
+    v
+}
+
 impl PathMaxIndex {
     /// Builds the index from a forest over `n` vertices, sequentially.
     ///
@@ -129,7 +140,7 @@ impl PathMaxIndex {
     /// [`VerifyError::ForeignEdge`] when an edge names a vertex `≥ n` —
     /// the build is exactly the acyclicity half of certification.
     pub fn build(n: usize, result: &MstResult) -> Result<PathMaxIndex, VerifyError> {
-        Self::build_impl(n, result, None)
+        Self::build_impl(n, result, None, Self::spare())
     }
 
     /// [`Self::build`] with the tree-edge sort parallelized over `pool`.
@@ -138,16 +149,55 @@ impl PathMaxIndex {
         result: &MstResult,
         pool: &ThreadPool,
     ) -> Result<PathMaxIndex, VerifyError> {
-        Self::build_impl(n, result, Some(pool))
+        Self::build_impl(n, result, Some(pool), Self::spare())
+    }
+
+    /// [`Self::build_par`] into the arrays of `spare`, an index nobody
+    /// reads any more, when there is one. A structure that rebuilds its
+    /// index every epoch then maps no fresh memory for it.
+    pub(crate) fn rebuild_par(
+        n: usize,
+        result: &MstResult,
+        pool: &ThreadPool,
+        spare: Option<PathMaxIndex>,
+    ) -> Result<PathMaxIndex, VerifyError> {
+        Self::build_impl(n, result, Some(pool), spare.unwrap_or_else(Self::spare))
+    }
+
+    /// An index over no vertices, whose arrays a build fills.
+    fn spare() -> PathMaxIndex {
+        PathMaxIndex {
+            pos: Vec::new(),
+            comp: Vec::new(),
+            num_components: 0,
+            sep: Vec::new(),
+            mask: Vec::new(),
+            prefix: Vec::new(),
+            suffix: Vec::new(),
+            sparse: Vec::new(),
+            pass_above: f64::INFINITY,
+        }
     }
 
     /// Replays `result`'s edges in key order over `n` vertices, detecting
-    /// cycles in the process.
+    /// cycles in the process. The arrays of `spare` are cleared and
+    /// reused.
     fn build_impl(
         n: usize,
         result: &MstResult,
         pool: Option<&ThreadPool>,
+        spare: PathMaxIndex,
     ) -> Result<PathMaxIndex, VerifyError> {
+        let PathMaxIndex {
+            pos,
+            comp,
+            mut sep,
+            mask,
+            mut prefix,
+            suffix,
+            mut sparse,
+            ..
+        } = spare;
         if let Some(e) = result
             .edges
             .iter()
@@ -157,23 +207,25 @@ impl PathMaxIndex {
         }
 
         // Tree edges in increasing key order. Kruskal-family results are
-        // already sorted — detect that in O(t) and skip the sort.
-        let keyed: Vec<(EdgeKey, u32)> = {
+        // already sorted — detect that in O(t) and replay them in place.
+        let keyed: Option<Vec<(EdgeKey, u32)>> = {
             let _s = telemetry::span("index-build-sort");
-            let mut keyed: Vec<(EdgeKey, u32)> = result
-                .edges
-                .iter()
-                .enumerate()
-                .map(|(i, e)| (e.key(), i as u32))
-                .collect();
-            if !keyed.windows(2).all(|w| w[0].0 <= w[1].0) {
+            let sorted = result.edges.windows(2).all(|w| w[0].key() <= w[1].key());
+            (!sorted).then(|| {
+                let mut keyed: Vec<(EdgeKey, u32)> = result
+                    .edges
+                    .iter()
+                    .enumerate()
+                    .map(|(i, e)| (e.key(), i as u32))
+                    .collect();
                 match pool {
                     Some(pool) => par_sort_by_key(pool, &mut keyed, |p| p.0),
                     None => keyed.sort_unstable(),
                 }
-            }
-            keyed
+                keyed
+            })
         };
+        let order = |i: usize| keyed.as_ref().map_or(i, |k| k[i].1 as usize);
 
         // Merge replay. Each component is a chain (`head`/`last` are valid
         // at union-find roots); a merge concatenates the chains in O(1)
@@ -182,9 +234,9 @@ impl PathMaxIndex {
         // successor it is interior to its chain forever. A merge of an
         // already-joined component is the cycle witness.
         let _s = telemetry::span("index-build-merge");
-        let t = keyed.len();
+        let t = result.edges.len();
         let pass_above = if t + 1 == n && t > 0 {
-            result.edges[keyed[t - 1].1 as usize].w
+            result.edges[order(t - 1)].w
         } else {
             f64::INFINITY
         };
@@ -192,9 +244,11 @@ impl PathMaxIndex {
         let mut next: Vec<u32> = vec![NO_NODE; n];
         let mut head: Vec<u32> = (0..n as u32).collect();
         let mut last: Vec<u32> = (0..n as u32).collect();
-        let mut sep_after: Vec<u128> = vec![INF_KEY; n];
-        for &(_, ei) in &keyed {
-            let e = &result.edges[ei as usize];
+        // `prefix`'s array holds the separators by vertex until the
+        // scatter below has laid them out in `sep`.
+        let mut sep_after = refill(std::mem::take(&mut prefix), n, INF_KEY);
+        for i in 0..t {
+            let e = &result.edges[order(i)];
             let ra = uf.find(e.u) as usize;
             let rb = uf.find(e.v) as usize;
             if ra == rb {
@@ -217,10 +271,11 @@ impl PathMaxIndex {
         // infinite separator, which is exactly the component boundary
         // sentinel.
         let _s = telemetry::span("index-build-scatter");
-        let mut pos = vec![0u32; n];
-        let mut comp = vec![0u32; n];
+        let mut pos = refill(pos, n, 0);
+        let mut comp = refill(comp, n, 0);
         let mut num_components = 0usize;
-        let mut sep: Vec<u128> = Vec::with_capacity(n);
+        sep.clear();
+        sep.reserve(n);
         for v in 0..n as VertexId {
             if uf.find(v) != v {
                 continue;
@@ -236,6 +291,8 @@ impl PathMaxIndex {
             }
         }
         debug_assert_eq!(sep.len(), n);
+        let mut prefix = sep_after;
+        prefix.clear();
         drop(_s);
 
         // Two-level range-max over `sep`: per-position monotone-stack
@@ -243,9 +300,8 @@ impl PathMaxIndex {
         // a sparse table over per-block maxima for everything wider.
         let _s = telemetry::span("index-build-rmq");
         let nblocks = n.div_ceil(BLOCK).max(1);
-        let mut mask = vec![0u32; n];
-        let mut prefix: Vec<u128> = Vec::with_capacity(n);
-        let mut suffix: Vec<u128> = vec![INF_KEY; n];
+        let mut mask = refill(mask, n, 0);
+        let mut suffix = refill(suffix, n, INF_KEY);
         let mut block_max = vec![INF_KEY; nblocks];
         for (b, bmax) in block_max.iter_mut().enumerate() {
             let lo = b * BLOCK;
@@ -272,8 +328,7 @@ impl PathMaxIndex {
                 suffix[i] = run;
             }
         }
-        let levels = usize::BITS as usize - nblocks.leading_zeros() as usize;
-        let mut sparse: Vec<Vec<u128>> = Vec::with_capacity(levels);
+        sparse.clear();
         sparse.push(block_max);
         let mut k = 1;
         while (1 << k) <= nblocks {
@@ -402,6 +457,14 @@ impl PathMaxIndex {
     pub(crate) fn path_max_at(&self, pu: u32, pv: u32) -> u128 {
         let (lo, hi) = if pu < pv { (pu, pv) } else { (pv, pu) };
         self.rmq(lo as usize, hi as usize - 1)
+    }
+
+    /// Whether the graph edge `(u, v, w)`, `u != v`, is a forest edge.
+    /// Keys are unique, and a forest edge is the maximum of its own
+    /// one-edge path, so one range-max query decides it.
+    #[inline]
+    pub(crate) fn is_tree_edge(&self, u: VertexId, v: VertexId, w: Weight) -> bool {
+        self.path_max_at(self.pos[u as usize], self.pos[v as usize]) == key_bits(w, u, v)
     }
 
     /// [`Self::path_max_at`] addressed by vertex id, as the raw packed

@@ -6,6 +6,7 @@
 
 use llp_graph::generators::{erdos_renyi, random_geometric, road_network, RoadParams};
 use llp_graph::{CsrGraph, Edge};
+use llp_mst::dynamic::Adjacency;
 use llp_mst::prelude::{
     certify_msf, certify_msf_par, filter_kruskal_par, filter_kruskal_par_with_base_case, kruskal,
     sharded_msf_graph, spmv_boruvka_par, verify_msf,
@@ -79,6 +80,53 @@ fn certifier_and_oracle_reject_mutated_forests() {
             let cyclic = forest(n, edges);
             assert!(verify_msf(&g, &cyclic).is_err(), "oracle/cycle {seed}/{gi}");
             assert!(certify_msf(&g, &cyclic).is_err(), "certify/cycle {seed}/{gi}");
+        }
+    }
+}
+
+#[test]
+fn adjacency_sweep_and_csr_sweep_return_identical_results() {
+    // The certifier reads a graph through per-vertex neighbour slices; the
+    // dynamic structure's adjacency lists and a CSR must get the same
+    // verdict, down to the error variant and the named edge, sequential
+    // or parallel under any chunking. The adjacency is built from the
+    // reversed edge list, so every vertex lists its neighbours in a
+    // different order than the CSR does.
+    let pool = ThreadPool::new(3);
+    for seed in 0..CASES {
+        for (gi, g) in graphs(seed).into_iter().enumerate() {
+            let n = g.num_vertices();
+            let mut edges: Vec<Edge> = g.edges().collect();
+            edges.reverse();
+            let adj = Adjacency::from_edges(n, &edges);
+            let msf = kruskal(&g);
+            let mut corpus = vec![("genuine", msf.clone())];
+            if !msf.edges.is_empty() {
+                let mut rng = SmallRng::seed_from_u64(seed * 31 + gi as u64);
+                let i = rng.gen_range(0usize..msf.edges.len());
+                let mut dropped = msf.edges.clone();
+                dropped.remove(i);
+                corpus.push(("drop", forest(n, dropped)));
+                let mut heavier = msf.edges.clone();
+                heavier[i].w += 0.5;
+                corpus.push(("heavy", forest(n, heavier)));
+                let mut cyclic = msf.edges.clone();
+                cyclic.push(cyclic[i]);
+                corpus.push(("cycle", forest(n, cyclic)));
+                // Every tree edge at a weight past the heaviest graph edge:
+                // many violations at once, at many vertices.
+                let top = g.edges().map(|e| e.w).fold(0.0, f64::max) + 1.0;
+                let inflated = msf.edges.iter().map(|e| Edge::new(e.u, e.v, e.w + top)).collect();
+                corpus.push(("inflated", forest(n, inflated)));
+            }
+            for (name, f) in &corpus {
+                let ctx = format!("{name} {seed}/{gi}");
+                let want = certify_msf(&g, f);
+                assert_eq!(want.is_ok(), *name == "genuine", "{ctx}: {want:?}");
+                assert_eq!(certify_msf(&adj, f), want, "{ctx}");
+                assert_eq!(certify_msf_par(&adj, f, &pool), want, "{ctx} (par)");
+                assert_eq!(certify_msf_par(&g, f, &pool), want, "{ctx} (par, csr)");
+            }
         }
     }
 }

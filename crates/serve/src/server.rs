@@ -264,9 +264,12 @@ fn handle_connection(
             }
         };
         let stop = queries.contains(&Query::Shutdown);
-        let responses = service.answer_batch(&queries);
-        encode_responses(&responses, &mut out);
-        if write_frame(&mut writer, &out).is_err() {
+        // The reply goes out before the frame's updates wake the updater.
+        let sent = service.answer_batch_then(&queries, |responses| {
+            encode_responses(&responses, &mut out);
+            write_frame(&mut writer, &out).is_ok()
+        });
+        if !sent {
             return;
         }
         if stop {

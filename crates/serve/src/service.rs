@@ -8,11 +8,13 @@
 //!
 //! [`MsfService::build_dynamic`] serves the same queries from an
 //! [`EpochSnapshot`] that a background updater thread advances: `insert` /
-//! `delete` queries enqueue updates, the updater drains them into batches
-//! for [`llp_mst::dynamic::DynamicMsf`], and each *certified* epoch is
-//! published by swapping one `Arc` — readers never wait on an update, and
-//! an epoch that fails certification is never published (the previous
-//! snapshot keeps serving and the error is retained for inspection).
+//! `delete` queries enqueue updates (all of one request's at once, after
+//! its reply, so no epoch ever holds part of a request), the updater
+//! drains them into batches for [`llp_mst::dynamic::DynamicMsf`], and each
+//! *certified* epoch is published by swapping one `Arc` — readers never
+//! wait on an update, and an epoch that fails certification is never
+//! published (the previous snapshot keeps serving and the error is
+//! retained for inspection).
 //!
 //! Build phases are telemetry spans (`serve-load`, `serve-msf-build`,
 //! `serve-certify`, `serve-index-build`) and query traffic feeds the
@@ -69,6 +71,13 @@ struct UpdateState {
     deletes: Vec<(u32, u32)>,
     stop: bool,
     last_error: Option<String>,
+}
+
+/// Updates accepted while answering one request, not yet queued.
+#[derive(Default)]
+struct Updates {
+    inserts: Vec<Edge>,
+    deletes: Vec<(u32, u32)>,
 }
 
 struct Shared {
@@ -235,10 +244,15 @@ impl MsfService {
     /// ids get [`Response::Invalid`] rather than a panic — the wire is
     /// untrusted.
     pub fn answer(&self, q: &Query) -> Response {
-        self.answer_with(&self.snapshot(), q)
+        let mut accepted = Updates::default();
+        let r = self.answer_with(&self.snapshot(), q, &mut accepted);
+        self.enqueue(accepted);
+        r
     }
 
-    fn answer_with(&self, snap: &EpochSnapshot, q: &Query) -> Response {
+    /// Answers `q`; an accepted update goes into `accepted`, for
+    /// [`Self::enqueue`] to queue with the rest of its request.
+    fn answer_with(&self, snap: &EpochSnapshot, q: &Query, accepted: &mut Updates) -> Response {
         let ok = |u: u32| (u as usize) < self.n;
         match *q {
             Query::Component(u) if ok(u) => Response::Component(snap.index.component(u)),
@@ -259,19 +273,11 @@ impl MsfService {
             Query::Insert(u, v, w)
                 if self.dynamic && ok(u) && ok(v) && u != v && w.is_finite() =>
             {
-                let mut s = self.shared.update.lock();
-                s.inserts.push(Edge::new(u, v, w));
-                drop(s);
-                self.shared.ready.notify_one();
-                telemetry::counter_add("serve-updates-queued", 1);
+                accepted.inserts.push(Edge::new(u, v, w));
                 Response::Accepted
             }
             Query::Delete(u, v) if self.dynamic && ok(u) && ok(v) && u != v => {
-                let mut s = self.shared.update.lock();
-                s.deletes.push((u, v));
-                drop(s);
-                self.shared.ready.notify_one();
-                telemetry::counter_add("serve-updates-queued", 1);
+                accepted.deletes.push((u, v));
                 Response::Accepted
             }
             Query::Epoch => Response::Epoch {
@@ -296,12 +302,49 @@ impl MsfService {
     }
 
     /// Answers a batch in order against one consistent snapshot, feeding
-    /// the serve counters.
+    /// the serve counters. The batch's accepted updates are queued
+    /// together after it is answered, so the updater applies all of them
+    /// in one epoch or none; a `status` inside the batch reports the queue
+    /// without them.
     pub fn answer_batch(&self, batch: &[Query]) -> Vec<Response> {
+        self.answer_batch_then(batch, |responses| responses)
+    }
+
+    /// [`Self::answer_batch`] that hands the responses to `reply` before
+    /// queuing the batch's accepted updates. A server sends its reply
+    /// there: waking the updater can then no longer delay the
+    /// acknowledgement of the write that woke it (the woken updater may
+    /// take the replying worker's CPU for a whole epoch).
+    pub fn answer_batch_then<R>(
+        &self,
+        batch: &[Query],
+        reply: impl FnOnce(Vec<Response>) -> R,
+    ) -> R {
         telemetry::counter_add("serve-batches", 1);
         telemetry::counter_add("serve-queries", batch.len() as u64);
         let snap = self.snapshot();
-        batch.iter().map(|q| self.answer_with(&snap, q)).collect()
+        let mut accepted = Updates::default();
+        let responses = batch
+            .iter()
+            .map(|q| self.answer_with(&snap, q, &mut accepted))
+            .collect();
+        let r = reply(responses);
+        self.enqueue(accepted);
+        r
+    }
+
+    /// Queues accepted updates under one lock and wakes the updater.
+    fn enqueue(&self, accepted: Updates) {
+        let queued = accepted.inserts.len() + accepted.deletes.len();
+        if queued == 0 {
+            return;
+        }
+        let mut s = self.shared.update.lock();
+        s.inserts.extend(accepted.inserts);
+        s.deletes.extend(accepted.deletes);
+        drop(s);
+        self.shared.ready.notify_one();
+        telemetry::counter_add("serve-updates-queued", queued as u64);
     }
 }
 
@@ -490,6 +533,51 @@ mod tests {
                 assert!((w - 1e-7).abs() < 1e-20);
             }
             other => panic!("expected the inserted edge as bottleneck, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_reply_goes_out_before_its_updates_are_queued() {
+        let g = llp_graph::generators::erdos_renyi(100, 160, 9);
+        let pool = ThreadPool::new(2);
+        let svc = MsfService::build_dynamic(&g, &pool, 1).unwrap();
+        let batch = [Query::Delete(0, 1), Query::Insert(0, 1, 0.5)];
+        let queued_at_reply = svc.answer_batch_then(&batch, |responses| {
+            assert_eq!(responses, vec![Response::Accepted; 2]);
+            svc.pending_updates()
+        });
+        assert_eq!(queued_at_reply, 0);
+        let deadline = Instant::now() + std::time::Duration::from_secs(30);
+        while svc.epoch() == 0 {
+            assert!(Instant::now() < deadline, "updater never published");
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+        assert_eq!(svc.last_update_error(), None);
+    }
+
+    #[test]
+    fn a_batch_of_updates_lands_in_one_epoch() {
+        // Every update of one request is queued at once, so the first
+        // epoch after it holds all of them, never a prefix.
+        let g = llp_graph::generators::erdos_renyi(400, 600, 3);
+        let pool = ThreadPool::new(2);
+        let svc = MsfService::build_dynamic(&g, &pool, 1).unwrap();
+        let taken: std::collections::HashSet<(u32, u32)> =
+            g.edges().map(|e| e.canonical_endpoints()).collect();
+        for round in 0..5u32 {
+            let batch: Vec<Query> = (1..400u32)
+                .filter(|&v| v % 5 == round && !taken.contains(&(0, v)))
+                .map(|v| Query::Insert(0, v, 1.0))
+                .collect();
+            let before = svc.snapshot();
+            let responses = svc.answer_batch(&batch);
+            assert!(responses.iter().all(|r| *r == Response::Accepted));
+            let deadline = Instant::now() + std::time::Duration::from_secs(30);
+            while svc.epoch() == before.epoch {
+                assert!(Instant::now() < deadline, "updater never published");
+                std::thread::sleep(std::time::Duration::from_millis(1));
+            }
+            assert_eq!(svc.snapshot().m, before.m + batch.len(), "round {round}");
         }
     }
 }

@@ -24,6 +24,7 @@ use llp_runtime::cli::{self, no_leftovers, take_flag, take_opt, take_parsed, Err
 use llp_runtime::json::Json;
 use llp_runtime::rng::SmallRng;
 use llp_runtime::{available_threads, ThreadPool};
+use std::num::NonZeroUsize;
 use std::process::ExitCode;
 use std::time::Instant;
 
@@ -47,7 +48,8 @@ fn parse_opts() -> Result<Opts, Error> {
         seed: take_parsed(&mut args, "--seed")?.unwrap_or(1),
         epochs: take_parsed(&mut args, "--epochs")?.unwrap_or(24),
         batch: take_parsed(&mut args, "--batch")?.unwrap_or(1024),
-        threads: take_parsed(&mut args, "--threads")?.unwrap_or(available_threads()),
+        threads: take_parsed(&mut args, "--threads")?
+            .map_or_else(available_threads, NonZeroUsize::get),
         certify: !take_flag(&mut args, "--no-certify"),
         report: take_opt(&mut args, "--report")?.unwrap_or_else(|| "BENCH_dynamic.json".into()),
         min_eps: take_parsed(&mut args, "--min-eps")?.unwrap_or(0.0),

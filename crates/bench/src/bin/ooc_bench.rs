@@ -50,6 +50,7 @@ use llp_runtime::cli::{
 };
 use llp_runtime::json::Json;
 use llp_runtime::{available_threads, telemetry, ThreadPool};
+use std::num::NonZeroUsize;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::time::Instant;
@@ -184,7 +185,7 @@ fn cmd_run(args: &mut Vec<String>) -> Result<(), Error> {
         // contraction (see the sharded module docs); budget accordingly.
         shard_edges = ((mb << 20) / 64).max(1) as usize;
     }
-    let threads: usize = take_parsed(args, "--threads")?.unwrap_or(available_threads());
+    let threads = take_parsed(args, "--threads")?.map_or_else(available_threads, NonZeroUsize::get);
     let read_ahead: usize = take_parsed(args, "--read-ahead")?.unwrap_or(1);
     let certify = !take_flag(args, "--no-certify");
     let report_path = take_opt(args, "--report")?;

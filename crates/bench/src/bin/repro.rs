@@ -24,6 +24,7 @@ use llp_bench::harness::{
 };
 use llp_bench::{Algorithm, Scale, Workload};
 use llp_runtime::cli::{self, no_leftovers, take_opt, take_parsed, Error};
+use std::num::NonZeroUsize;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -116,8 +117,8 @@ fn parse_opts(args: &mut Vec<String>) -> Result<Options, Error> {
     };
     let opts = Options {
         scale,
-        reps: take_parsed(args, "--reps")?.unwrap_or(3),
-        max_threads: take_parsed(args, "--max-threads")?.unwrap_or(8),
+        reps: take_parsed(args, "--reps")?.map_or(3, NonZeroUsize::get),
+        max_threads: take_parsed(args, "--max-threads")?.map_or(8, NonZeroUsize::get),
         seed: take_parsed(args, "--seed")?.unwrap_or(42),
         out: take_opt(args, "--out")?.map_or_else(|| PathBuf::from("results"), PathBuf::from),
         dimacs: take_opt(args, "--dimacs")?.map(PathBuf::from),

@@ -13,12 +13,12 @@
 //! The paper measured a 48-vCPU GCE C2 VM with ≤ 32 threads; this harness
 //! also reports **machine-independent work metrics** (heap operations,
 //! early fixes, rounds, pointer jumps, atomic RMW traffic) so the figures'
-//! *shapes* are reproducible on any core count. Criterion benches with the
-//! same structure live in `benches/`.
+//! *shapes* are reproducible on any core count. The `microbench` binary
+//! times the kernels and substrates underneath (heaps, union–find, scans,
+//! sorts, MWE words, contraction rounds).
 
 pub mod algorithms;
 pub mod harness;
-pub mod microbench;
 pub mod workloads;
 
 pub use algorithms::{run_algorithm, Algorithm};

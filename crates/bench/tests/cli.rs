@@ -1,6 +1,6 @@
 //! Every bench binary rejects a bad command line with exit code 2 and a
-//! one-line reason: an unknown flag, a flag missing its value, and a
-//! malformed value (which must not panic).
+//! one-line reason: an unknown flag, a flag missing its value, a
+//! malformed value and a zero count (none of which may panic).
 
 use std::process::Command;
 
@@ -34,6 +34,7 @@ fn differential_rejects_bad_arguments() {
     let bin = env!("CARGO_BIN_EXE_differential");
     check(bin, &["sweep"], "--threads");
     expect_usage_error(bin, &["--gen-seeds", "1,x"], "bad value for --gen-seeds: x");
+    expect_usage_error(bin, &["perf"], "unknown command perf");
     expect_usage_error(
         bin,
         &["--families", "road,moon"],
@@ -57,4 +58,31 @@ fn ooc_bench_rejects_bad_arguments() {
     check(bin, &["run", "--graph", "g.bin"], "--shard-edges");
     check(bin, &["gen", "--out", "g.bin"], "--scale");
     expect_usage_error(bin, &["run"], "--graph is required");
+}
+
+/// Thread, worker and repetition counts are `NonZeroUsize`: 0 is a bad
+/// value, not a pool assertion or an empty sweep.
+#[test]
+fn zero_counts_are_usage_errors() {
+    let cases: [(&str, &[&str], &str); 7] = [
+        (env!("CARGO_BIN_EXE_repro"), &["fig2"], "--reps"),
+        (env!("CARGO_BIN_EXE_repro"), &["fig3"], "--max-threads"),
+        (env!("CARGO_BIN_EXE_differential"), &["sweep"], "--threads"),
+        (
+            env!("CARGO_BIN_EXE_differential"),
+            &["fault-matrix"],
+            "--threads",
+        ),
+        (env!("CARGO_BIN_EXE_dynamic-bench"), &[], "--threads"),
+        (env!("CARGO_BIN_EXE_microbench"), &[], "--threads"),
+        (
+            env!("CARGO_BIN_EXE_ooc-bench"),
+            &["run", "--graph", "g.bin"],
+            "--threads",
+        ),
+    ];
+    for (bin, prefix, flag) in cases {
+        let args = [prefix, &[flag, "0"]].concat();
+        expect_usage_error(bin, &args, &format!("bad value for {flag}: 0"));
+    }
 }

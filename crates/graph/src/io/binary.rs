@@ -688,10 +688,31 @@ mod tests {
         }
     }
 
+    /// The offset at which every reader — streaming, slice, seek and
+    /// range — rejects `buf`.
+    fn offset_in_every_reader(buf: &[u8]) -> [u64; 4] {
+        [
+            parse_offset(read_binary(buf).unwrap_err()),
+            parse_offset(read_binary_slice(buf).unwrap_err()),
+            parse_offset(read_binary_seek(Cursor::new(buf)).unwrap_err()),
+            parse_offset(read_binary_range(Cursor::new(buf), 0, 0).unwrap_err()),
+        ]
+    }
+
     #[test]
     fn rejects_bad_magic() {
         let buf = b"NOTAGRPH\x01\x00\x00\x00".to_vec();
-        assert_eq!(parse_offset(read_binary(buf.as_slice()).unwrap_err()), 0);
+        assert_eq!(offset_in_every_reader(&buf), [0; 4]);
+    }
+
+    #[test]
+    fn rejects_header_truncated_mid_field() {
+        // 10 bytes: the magic and half of the version field.
+        let mut buf = file(3, 0, &[]);
+        buf.truncate(10);
+        assert_eq!(offset_in_every_reader(&buf), [8; 4]);
+        let msg = read_binary_slice(&buf).unwrap_err().to_string();
+        assert!(msg.contains("truncated while reading version"), "{msg}");
     }
 
     #[test]
@@ -721,7 +742,7 @@ mod tests {
         buf.extend_from_slice(&99u32.to_le_bytes());
         buf.extend_from_slice(&0u64.to_le_bytes());
         buf.extend_from_slice(&0u64.to_le_bytes());
-        assert_eq!(parse_offset(read_binary(buf.as_slice()).unwrap_err()), 8);
+        assert_eq!(offset_in_every_reader(&buf), [8; 4]);
     }
 
     #[test]
@@ -970,6 +991,8 @@ mod tests {
 
     #[test]
     fn file_writer_round_trips_through_rename() {
+        #[cfg(feature = "faults")]
+        let _serial = faults::test_serial_lock(); // `fault_tests` sets the global seed
         let dir = temp_dir("atomic");
         let dest = dir.join("g.bin");
         let g = erdos_renyi(40, 100, 13);
@@ -987,6 +1010,8 @@ mod tests {
 
     #[test]
     fn file_writer_drop_removes_tmp_and_never_creates_dest() {
+        #[cfg(feature = "faults")]
+        let _serial = faults::test_serial_lock(); // `fault_tests` sets the global seed
         let dir = temp_dir("drop");
         let dest = dir.join("g.bin");
         {
@@ -1006,6 +1031,8 @@ mod tests {
         // m = 0) + some prefix of records + no rename. Readers never look
         // at `*.tmp` paths, and even read directly the torn file must be
         // rejected, not half-parsed.
+        #[cfg(feature = "faults")]
+        let _serial = faults::test_serial_lock(); // `fault_tests` sets the global seed
         let dir = temp_dir("kill");
         let dest = dir.join("g.bin");
         let torn = {

@@ -20,9 +20,7 @@
 //!   and the `llp-mst-serve-report/v1` JSON writer.
 //!
 //! The `llp-mst-serve` binary front-ends all of it: `gen`, `serve`,
-//! `loadgen`, `bench` (in-process end-to-end with verification), and
-//! `fuzz-ingest` (the corrupt-file rejection matrix, plus a seeded
-//! fault-injection sweep when built with the `faults` feature).
+//! `loadgen` and `bench` (in-process end-to-end with verification).
 
 pub mod loadgen;
 pub mod protocol;

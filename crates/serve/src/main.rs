@@ -12,22 +12,15 @@
 //! llp-mst-serve bench      [--graph g.bin | --scale 16 --ef 16 --seed 1] [--threads T]
 //!                          [--workers W] [--queries N] [--batches ...]
 //!                          [--report BENCH_serve.json] [--min-qps 100000]
-//! llp-mst-serve fuzz-ingest [--fault-seeds N]
 //! ```
 //!
 //! `bench` is the one-shot certified pipeline: generate/load a graph,
 //! build + certify the MSF, serve it on an ephemeral loopback port, sweep
 //! batch sizes with every response verified against the local certified
 //! index, shut the server down, write the `llp-mst-serve-report/v1`
-//! JSON, and gate on `--min-qps`. `fuzz-ingest` runs the corrupt-file
-//! matrix against the hardened binary reader and fails if any corruption
-//! is accepted; `--fault-seeds N` (needs the `faults` feature) addition-
-//! ally sweeps N seeds of injected file-I/O faults through the real
-//! file-backed read and write paths, asserting every run either matches
-//! the pristine graph bit-for-bit or fails with a classified error.
+//! JSON, and gate on `--min-qps`.
 
 use llp_graph::generators::{erdos_renyi, rmat, RmatParams};
-use llp_graph::io::{read_binary_range, read_binary_slice, write_binary, IoError};
 use llp_graph::CsrGraph;
 use llp_runtime::cli::{
     self, no_leftovers, take_flag, take_list, take_opt, take_parsed, take_required, Error,
@@ -39,6 +32,7 @@ use llp_serve::server::{run_server, ServerConfig};
 use llp_serve::service::{load_graph, BuildTimings, MsfService};
 use std::io::BufReader;
 use std::net::{TcpListener, TcpStream};
+use std::num::NonZeroUsize;
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -55,13 +49,12 @@ fn main() -> ExitCode {
         "serve" => cmd_serve(&mut args),
         "loadgen" => cmd_loadgen(&mut args),
         "bench" => cmd_bench(&mut args),
-        "fuzz-ingest" => cmd_fuzz_ingest(&mut args),
         other => Err(Error::Usage(format!("unknown command `{other}`\n{USAGE}"))),
     };
     cli::exit_code(&format!("llp-mst-serve {cmd}"), result)
 }
 
-const USAGE: &str = "usage: llp-mst-serve <gen|serve|loadgen|bench|fuzz-ingest> [options]
+const USAGE: &str = "usage: llp-mst-serve <gen|serve|loadgen|bench> [options]
 run `llp-mst-serve <command>` with no options for that command's defaults";
 
 /// A deferred graph build, so argument errors surface before any work.
@@ -118,11 +111,11 @@ fn cmd_gen(args: &mut Vec<String>) -> Result<(), Error> {
 fn cmd_serve(args: &mut Vec<String>) -> Result<(), Error> {
     let graph_path = take_required(args, "--graph")?;
     let addr = take_opt(args, "--addr")?.unwrap_or_else(|| "127.0.0.1:0".into());
-    let threads: usize = take_parsed(args, "--threads")?.unwrap_or(available_threads());
-    let workers: usize = take_parsed(args, "--workers")?.unwrap_or(2);
+    let threads = take_parsed(args, "--threads")?.map_or_else(available_threads, NonZeroUsize::get);
+    let workers = take_parsed(args, "--workers")?.map_or(2, NonZeroUsize::get);
     let port_file = take_opt(args, "--port-file")?;
     let dynamic = take_flag(args, "--dynamic");
-    let update_threads: usize = take_parsed(args, "--update-threads")?.unwrap_or(2);
+    let update_threads = take_parsed(args, "--update-threads")?.map_or(2, NonZeroUsize::get);
     // Robustness knobs; a timeout of 0 disables that deadline.
     let read_timeout_ms: u64 = take_parsed(args, "--read-timeout-ms")?.unwrap_or(30_000);
     let write_timeout_ms: u64 = take_parsed(args, "--write-timeout-ms")?.unwrap_or(30_000);
@@ -230,7 +223,7 @@ fn cmd_loadgen(args: &mut Vec<String>) -> Result<(), Error> {
     let verify = take_flag(args, "--verify");
     let shutdown = take_flag(args, "--shutdown");
     let report = take_opt(args, "--report")?;
-    let threads: usize = take_parsed(args, "--threads")?.unwrap_or(available_threads());
+    let threads = take_parsed(args, "--threads")?.map_or_else(available_threads, NonZeroUsize::get);
     let cfg = loadgen_config(args)?;
     no_leftovers(args)?;
     if verify && graph_path.is_none() {
@@ -288,8 +281,8 @@ fn cmd_loadgen(args: &mut Vec<String>) -> Result<(), Error> {
 }
 
 fn cmd_bench(args: &mut Vec<String>) -> Result<(), Error> {
-    let threads: usize = take_parsed(args, "--threads")?.unwrap_or(available_threads());
-    let workers: usize = take_parsed(args, "--workers")?.unwrap_or(2);
+    let threads = take_parsed(args, "--threads")?.map_or_else(available_threads, NonZeroUsize::get);
+    let workers = take_parsed(args, "--workers")?.map_or(2, NonZeroUsize::get);
     let min_qps: f64 = take_parsed(args, "--min-qps")?.unwrap_or(100_000.0);
     let report = take_opt(args, "--report")?.unwrap_or_else(|| "BENCH_serve.json".into());
     let no_verify = take_flag(args, "--no-verify");
@@ -349,219 +342,5 @@ fn cmd_bench(args: &mut Vec<String>) -> Result<(), Error> {
         .into());
     }
     println!("gate: best {best:.0} q/s >= {min_qps:.0} q/s");
-    Ok(())
-}
-
-/// The corrupt-file matrix: every mutation of a valid binary graph file
-/// must be rejected by the hardened reader — with a `ParseBytes` error
-/// (never a panic, never a giant allocation) for format violations.
-/// `--fault-seeds N` additionally sweeps N seeds of injected file-I/O
-/// faults through the real file-backed read/write paths.
-fn cmd_fuzz_ingest(args: &mut Vec<String>) -> Result<(), Error> {
-    let fault_seeds: u64 = take_parsed(args, "--fault-seeds")?.unwrap_or(0);
-    no_leftovers(args)?;
-    let graph = erdos_renyi(64, 128, 7);
-    let mut pristine = Vec::new();
-    write_binary(&graph, &mut pristine).map_err(|e| e.to_string())?;
-    read_binary_slice(&pristine).map_err(|e| format!("pristine bytes must parse: {e}"))?;
-    println!(
-        "pristine: ok (n={}, m={}, {} bytes)",
-        graph.num_vertices(),
-        graph.num_edges(),
-        pristine.len()
-    );
-
-    type Mutation = (&'static str, Box<dyn Fn(&mut Vec<u8>)>);
-    let n_bytes = (graph.num_vertices() as u32).to_le_bytes();
-    let cases: Vec<Mutation> = vec![
-        ("truncated-header", Box::new(|b| b.truncate(10))),
-        ("bad-magic", Box::new(|b| b[0] ^= 0xff)),
-        ("bad-version", Box::new(|b| b[8..12].copy_from_slice(&999u32.to_le_bytes()))),
-        ("giant-n", Box::new(|b| b[12..20].copy_from_slice(&u64::MAX.to_le_bytes()))),
-        ("giant-m", Box::new(|b| b[20..28].copy_from_slice(&u64::MAX.to_le_bytes()))),
-        (
-            "m-overclaims-payload",
-            Box::new(|b| {
-                let m = u64::from_le_bytes(b[20..28].try_into().unwrap());
-                b[20..28].copy_from_slice(&(m + 1).to_le_bytes());
-            }),
-        ),
-        (
-            "m-underclaims-payload",
-            Box::new(|b| {
-                let m = u64::from_le_bytes(b[20..28].try_into().unwrap());
-                b[20..28].copy_from_slice(&(m - 1).to_le_bytes());
-            }),
-        ),
-        ("truncated-edge", Box::new(|b| b.truncate(b.len() - 3))),
-        (
-            "self-loop",
-            Box::new(|b| {
-                let u: [u8; 4] = b[28..32].try_into().unwrap();
-                b[32..36].copy_from_slice(&u);
-            }),
-        ),
-        (
-            "endpoint-out-of-range",
-            Box::new(move |b| b[28..32].copy_from_slice(&n_bytes)),
-        ),
-        ("nan-weight", Box::new(|b| b[36..44].copy_from_slice(&f64::NAN.to_le_bytes()))),
-        ("inf-weight", Box::new(|b| b[36..44].copy_from_slice(&f64::INFINITY.to_le_bytes()))),
-    ];
-
-    let mut failures = 0;
-    for (name, mutate) in &cases {
-        let mut bytes = pristine.clone();
-        mutate(&mut bytes);
-        match read_binary_slice(&bytes) {
-            Err(e @ IoError::ParseBytes(..)) => println!("{name}: rejected ({e})"),
-            Err(e) => println!("{name}: rejected with unexpected error kind ({e})"),
-            Ok(g) => {
-                println!(
-                    "{name}: ACCEPTED a corrupt file (n={}, m={})",
-                    g.num_vertices(),
-                    g.num_edges()
-                );
-                failures += 1;
-            }
-        }
-    }
-    // The range reader is a separate entry point with its own seek
-    // arithmetic (used by the out-of-core sharded pipeline); exercise
-    // its bounds, truncation and per-record checks too.
-    let m = graph.num_edges() as u64;
-    type RangeMutation = (&'static str, Box<dyn Fn(&mut Vec<u8>) -> (u64, u64)>);
-    let range_cases: Vec<RangeMutation> = vec![
-        ("range-out-of-bounds", Box::new(move |_b: &mut Vec<u8>| (0, m + 1))),
-        (
-            "range-truncated-payload",
-            Box::new(move |b: &mut Vec<u8>| {
-                b.truncate(b.len() - 3);
-                (0, m)
-            }),
-        ),
-        (
-            "range-bad-edge",
-            Box::new(|b: &mut Vec<u8>| {
-                // Corrupt edge #5 into a self-loop, then request a window
-                // containing it: the error must carry the edge's absolute
-                // file offset even though decoding started mid-file.
-                let off = 28 + 5 * 16;
-                let u: [u8; 4] = b[off..off + 4].try_into().unwrap();
-                b[off + 4..off + 8].copy_from_slice(&u);
-                (4, 8)
-            }),
-        ),
-    ];
-    for (name, mutate) in &range_cases {
-        let mut bytes = pristine.clone();
-        let (lo, hi) = mutate(&mut bytes);
-        match read_binary_range(&mut std::io::Cursor::new(&bytes), lo, hi) {
-            Err(e @ IoError::ParseBytes(..)) => println!("{name}: rejected ({e})"),
-            Err(e) => println!("{name}: rejected with unexpected error kind ({e})"),
-            Ok(r) => {
-                println!("{name}: ACCEPTED a corrupt range ({} edges)", r.edges.len());
-                failures += 1;
-            }
-        }
-    }
-
-    if failures > 0 {
-        return Err(format!("{failures} corruptions were accepted").into());
-    }
-    println!(
-        "fuzz-ingest: all {} corruptions rejected",
-        cases.len() + range_cases.len()
-    );
-    if fault_seeds > 0 {
-        fault_sweep(&graph, &pristine, fault_seeds)?;
-    }
-    Ok(())
-}
-
-/// Seeded fault-injection sweep over the file-backed ingest paths: for
-/// every seed, a read of a pristine file through the faulty reader must
-/// either reproduce the pristine graph exactly or fail with a classified
-/// `IoError`; a faulted [`BinaryFileWriter`] run must install a complete,
-/// re-readable file or nothing at all. Any third outcome — a *wrong*
-/// graph, a torn file under the destination name — fails the sweep.
-///
-/// [`BinaryFileWriter`]: llp_graph::io::BinaryFileWriter
-fn fault_sweep(graph: &CsrGraph, pristine: &[u8], seeds: u64) -> Result<(), String> {
-    use llp_runtime::faults;
-    if !faults::compiled_in() {
-        return Err(
-            "--fault-seeds needs fault injection compiled in; rebuild with --features faults"
-                .into(),
-        );
-    }
-    let dir = std::env::temp_dir();
-    let pid = std::process::id();
-    let src = dir.join(format!("llp-fuzz-faults-{pid}.bin"));
-    std::fs::write(&src, pristine).map_err(|e| e.to_string())?;
-
-    let (mut clean, mut classified) = (0u64, 0u64);
-    let mut run = || -> Result<(), String> {
-        for seed in 1..=seeds {
-            faults::set_seed(Some(seed));
-            // Read leg: faulty reader over the pristine file.
-            match llp_graph::io::read_binary_file(&src) {
-                Ok(g) if g == *graph => clean += 1,
-                Ok(g) => {
-                    return Err(format!(
-                        "seed {seed}: read produced a WRONG graph (n={}, m={}) \
-                         instead of an error",
-                        g.num_vertices(),
-                        g.num_edges()
-                    ))
-                }
-                Err(IoError::ParseBytes(..) | IoError::Io(..)) => classified += 1,
-                Err(e) => return Err(format!("seed {seed}: unclassified error {e}")),
-            }
-            // Write leg: faulty writer must install completely or not at all.
-            let dest = dir.join(format!("llp-fuzz-faults-{pid}-w{seed}.bin"));
-            let wrote = llp_graph::io::BinaryFileWriter::create(&dest, graph.num_vertices())
-                .and_then(|mut w| {
-                    for e in graph.edges() {
-                        w.write_edge(e)?;
-                    }
-                    w.finish()
-                });
-            match wrote {
-                Ok(_) => {
-                    let g = llp_graph::io::read_binary_file(&dest);
-                    std::fs::remove_file(&dest).ok();
-                    match g {
-                        Ok(g) if g == *graph => clean += 1,
-                        // The *read-back* itself ran under the seed and may
-                        // fault; that is the read leg's territory, not a
-                        // torn install.
-                        Err(IoError::ParseBytes(..) | IoError::Io(..)) => classified += 1,
-                        other => {
-                            return Err(format!(
-                                "seed {seed}: finished write read back wrong: {other:?}"
-                            ))
-                        }
-                    }
-                }
-                Err(_) if dest.exists() => {
-                    std::fs::remove_file(&dest).ok();
-                    return Err(format!(
-                        "seed {seed}: failed write left a file under the destination name"
-                    ));
-                }
-                Err(_) => classified += 1,
-            }
-        }
-        Ok(())
-    };
-    let result = run();
-    faults::set_seed(None);
-    std::fs::remove_file(&src).ok();
-    result?;
-    println!(
-        "fault sweep: {seeds} seeds x 2 legs -> {clean} clean runs, \
-         {classified} classified errors, 0 wrong answers"
-    );
     Ok(())
 }
